@@ -1,29 +1,31 @@
 """E9 — throughput of the compiled inference engine vs. the seed
 interpreted int64-einsum path on a MobileNetV1 deployment graph.
 
-Four measurements:
+Three measurements:
 
-* E9  — end-to-end + per-layer latency of the narrow-native arena plan
-  against both the interpreted seed and the PR-1 im2col compiled plan,
-  asserting bit-exactness and the headline speedup;
+* E9  — end-to-end + per-layer latency of the compiled arena plan
+  against the interpreted seed, asserting bit-exactness and the
+  headline speedup;
 * E9a — the depthwise-dominated regime (the paper's flagship 224_1.0
   geometry, where the kh*kw-fold im2col copy blows the cache): the fused
-  stencil layers must beat the im2col plan on the memory-bound layers,
-  stride-1 and (new) stride-2;
+  stencil layers must beat the im2col path (``fused_depthwise=False``)
+  on the memory-bound layers, stride-1 and stride-2;
 * E9b — a streamed ``run_batched`` sweep whose measured peak allocation
   must stay inside the compile-time activation-arena plan reported by
-  ``ExecutionPlan.describe()``;
-* E9c — narrow-dtype-native execution vs. the legacy wide (int64-code,
-  a-priori-dispatch) pipeline on a bandwidth-bound zoo config: container
-  codes + chunked requant + refined-bound sgemm must deliver >= 1.3x
-  end-to-end with a smaller planned arena and child-process peak RSS.
+  ``ExecutionPlan.describe()``.
+
+The retired comparisons against the int64-code and arena-less
+pipelines (an extra E9 column, and E9c) stay on record in
+``results/engine_throughput.txt`` and
+``results/engine_narrow_native.txt``.
 
 Run as a script for the CI smoke lane::
 
     python benchmarks/bench_engine_throughput.py --quick
 
-which sweeps reduced-size parity checks (narrow / wide / int32 plans vs.
-the interpreted int64 reference) and exits non-zero on any mismatch.
+which sweeps reduced-size parity checks (arena / int32 / int64 /
+stencil plans vs. the interpreted int64 reference, plus an artifact
+round trip) and exits non-zero on any mismatch.
 """
 
 import argparse
@@ -44,13 +46,6 @@ WIDTH = 0.5
 BATCH = 8
 NUM_CLASSES = 100
 
-# E9c: bandwidth-bound config where the narrow pipeline pays most (the
-# deep 512/1024-channel pointwise stack dominated by GEMM + requant
-# traffic).
-NARROW_RES = 128
-NARROW_WIDTH = 1.0
-NARROW_BATCH = 8
-
 
 def _best_of(fn, reps: int = 3) -> float:
     best = float("inf")
@@ -61,54 +56,35 @@ def _best_of(fn, reps: int = 3) -> float:
     return best
 
 
-def _pr1_compile(net):
-    """The PR-1 engine: per-call im2col allocation, int64 codes,
-    a-priori dispatch."""
-    return net.compile(CompileOptions(use_arena=False, fused_depthwise=False,
-                                      narrow=False, refined_bound=False))
-
-
-def _pr2_compile(net, input_hw=None):
-    """The PR-2 engine: arena + auto stencil, but int64 codes, in-place
-    int64 requant and a-priori accumulator tiers."""
-    return net.compile(CompileOptions(narrow=False, refined_bound=False,
-                                      input_hw=input_hw))
-
-
 def test_benchmark_engine_throughput(record_report):
     spec = mobilenet_v1_spec(RESOLUTION, WIDTH, num_classes=NUM_CLASSES)
     net = integer_network_from_spec(spec, np.random.default_rng(0))
     x = np.random.default_rng(1).uniform(0, 1, size=(BATCH, 3, RESOLUTION, RESOLUTION))
     plan = net.compile(CompileOptions(input_hw=(RESOLUTION, RESOLUTION)))
-    plan_pr1 = _pr1_compile(net)
 
-    # Bit-exactness of both compiled generations vs. the int64 reference.
+    # Bit-exactness vs. the int64 reference.
     ref_logits = net.forward(x)
     fast_logits = plan.run(x)
     assert np.array_equal(ref_logits, fast_logits), "compiled engine diverged from int64 reference"
-    assert np.array_equal(ref_logits, plan_pr1.run(x))
     assert np.array_equal(fast_logits, plan.run_batched(x, batch_size=3))
 
     t_seed = _best_of(lambda: net.forward(x))
     t_plan = _best_of(lambda: plan.run(x))
-    t_pr1 = _best_of(lambda: plan_pr1.run(x))
     speedup = t_seed / t_plan
 
     # Per-layer latency on the propagated intermediate codes: seed vs.
-    # PR-1 im2col plan vs. narrow arena/auto plan.
+    # the compiled arena/auto plan.
     rows = []
     codes = plan.quantize_input(x)
-    codes_pr1 = plan_pr1.quantize_input(x)
+    codes_seed = net.quantize_input(x)
     arena = plan.arena_for((RESOLUTION, RESOLUTION))
     arena.ensure(BATCH)
     infos = {i.name: i for i in plan.layer_info()}
-    for i, (new_layer, pr1_layer, ref_layer) in enumerate(
-            zip(plan.layers, plan_pr1.layers, net.conv_layers)):
+    for i, (new_layer, ref_layer) in enumerate(zip(plan.layers, net.conv_layers)):
         # Use the layer's true ping-pong slot: code slots are sized per
         # parity, so slot 0 need not fit an odd-index layer's output.
-        t_l_seed = _best_of(lambda: ref_layer.forward(codes_pr1))
-        t_l_pr1 = _best_of(lambda: pr1_layer(codes_pr1.copy()))
-        t_l_new = _best_of(lambda: new_layer(codes, arena=arena, slot=i % 2))
+        t_l_seed = _best_of(lambda: ref_layer.forward(codes_seed))
+        t_l_new = _best_of(lambda: new_layer(codes, arena, i % 2))
         info = infos[new_layer.name]
         dispatch = f"{info.backend}/{info.gemm_dtype}->{info.container}"
         if info.dw_mode:
@@ -118,20 +94,19 @@ def test_benchmark_engine_throughput(record_report):
             new_layer.kind,
             dispatch,
             round(t_l_seed * 1e3, 2),
-            round(t_l_pr1 * 1e3, 2),
             round(t_l_new * 1e3, 2),
             round(t_l_seed / t_l_new, 1),
         ])
-        codes = new_layer(codes)      # propagate via owned (non-arena) arrays
-        codes_pr1 = pr1_layer(codes_pr1)
+        # Propagate an owned copy: the next timed call reuses the slabs.
+        codes = new_layer(codes, arena, i % 2).copy()
+        codes_seed = ref_layer.forward(codes_seed)
     rows.append([
         "TOTAL", "", "",
-        round(t_seed * 1e3, 2), round(t_pr1 * 1e3, 2), round(t_plan * 1e3, 2),
-        round(speedup, 1),
+        round(t_seed * 1e3, 2), round(t_plan * 1e3, 2), round(speedup, 1),
     ])
 
     report = render_table(
-        ["Layer", "Kind", "Dispatch", "Seed ms", "PR-1 ms", "Narrow ms", "Speedup"],
+        ["Layer", "Kind", "Dispatch", "Seed ms", "Plan ms", "Speedup"],
         rows,
         title=(
             f"E9 — MobileNetV1 {RESOLUTION}_{WIDTH} batch={BATCH}: "
@@ -144,12 +119,6 @@ def test_benchmark_engine_throughput(record_report):
     record_report("engine_throughput", report)
 
     assert speedup >= 5.0, f"compiled engine speedup {speedup:.2f}x below the 5x target"
-    # The narrow plan must not regress the PR-1 engine end to end.
-    # Generous headroom: best-of-3 on a shared machine jitters ~10-20%,
-    # and this guard is for gross regressions, not single-digit drift.
-    assert t_plan <= 1.3 * t_pr1, (
-        f"narrow plan {t_plan * 1e3:.1f} ms regressed vs PR-1 {t_pr1 * 1e3:.1f} ms"
-    )
 
 
 def test_benchmark_depthwise_fused_speedup(record_report):
@@ -158,25 +127,27 @@ def test_benchmark_depthwise_fused_speedup(record_report):
     At this scale a depthwise layer's im2col column tensor is tens to
     hundreds of MB — far past cache — which is exactly the "depthwise
     layers are memory-bound" headroom the roadmap records.  The auto
-    dispatch routes those layers to the fused stencil (stride-1, and
-    stride-2 since the narrow-native refactor); stride-1 stencils must
-    beat the PR-1 im2col path >= 1.5x in aggregate, stride-2 >= 1.1x,
-    bit-exactly.
+    dispatch routes those layers to the fused stencil (stride-1 and
+    stride-2); stride-1 stencils must beat the im2col path of a
+    ``fused_depthwise=False`` plan >= 1.5x in aggregate, stride-2
+    >= 1.1x, bit-exactly.
     """
     res, batch = 224, 6
     spec = mobilenet_v1_spec(res, 1.0, num_classes=NUM_CLASSES)
     net = integer_network_from_spec(spec, np.random.default_rng(0))
     x = np.random.default_rng(1).uniform(0, 1, size=(batch, 3, res, res))
     plan = net.compile(CompileOptions(input_hw=(res, res)))
-    plan_pr1 = _pr1_compile(net)
-    assert np.array_equal(plan.run(x), plan_pr1.run(x)), "fused/auto plan diverged"
+    plan_im2col = net.compile(CompileOptions(fused_depthwise=False, input_hw=(res, res)))
+    assert np.array_equal(plan.run(x), plan_im2col.run(x)), "fused/auto plan diverged"
 
     rows = []
     codes = plan.quantize_input(x)
     arena = plan.arena_for((res, res))
     arena.ensure(batch)
-    totals = {1: [0.0, 0.0, 0], 2: [0.0, 0.0, 0]}  # stride -> [new, pr1, layers]
-    for i, (new_layer, pr1_layer) in enumerate(zip(plan.layers, plan_pr1.layers)):
+    arena_im2col = plan_im2col.arena_for((res, res))
+    arena_im2col.ensure(batch)
+    totals = {1: [0.0, 0.0, 0], 2: [0.0, 0.0, 0]}  # stride -> [new, im2col, layers]
+    for i, (new_layer, im2col_layer) in enumerate(zip(plan.layers, plan_im2col.layers)):
         if new_layer.kind == "dw":
             n, c, h, w = codes.shape
             oh = (h + 2 * new_layer.padding - new_layer.kh) // new_layer.stride + 1
@@ -184,26 +155,26 @@ def test_benchmark_depthwise_fused_speedup(record_report):
                 n, c, new_layer.kh, new_layer.kw, oh, oh,
                 new_layer.gemm_itemsize, stride=new_layer.stride,
             )
-            t_l_pr1 = _best_of(lambda: pr1_layer(codes))
-            t_l_new = _best_of(lambda: new_layer(codes, arena=arena, slot=i % 2))
+            t_l_im2col = _best_of(lambda: im2col_layer(codes, arena_im2col, i % 2))
+            t_l_new = _best_of(lambda: new_layer(codes, arena, i % 2))
             if fused:
                 agg = totals[new_layer.stride]
                 agg[0] += t_l_new
-                agg[1] += t_l_pr1
+                agg[1] += t_l_im2col
                 agg[2] += 1
             rows.append([
                 new_layer.name,
                 f"s{new_layer.stride} " + ("stencil" if fused else "im2col"),
-                round(t_l_pr1 * 1e3, 2),
+                round(t_l_im2col * 1e3, 2),
                 round(t_l_new * 1e3, 2),
-                round(t_l_pr1 / t_l_new, 2),
+                round(t_l_im2col / t_l_new, 2),
             ])
-        codes = new_layer(codes)  # propagate without the arena (owned arrays)
+        codes = new_layer(codes, arena, i % 2).copy()  # owned input for the next layer
     s1_speedup = totals[1][1] / totals[1][0]
     s2_speedup = totals[2][1] / totals[2][0]
 
     report = render_table(
-        ["Layer", "Auto path", "PR-1 im2col ms", "Narrow ms", "Speedup"],
+        ["Layer", "Auto path", "im2col ms", "Auto ms", "Speedup"],
         rows + [
             ["STENCIL s1 TOTAL", f"{totals[1][2]} layers",
              round(totals[1][1] * 1e3, 2), round(totals[1][0] * 1e3, 2),
@@ -267,117 +238,6 @@ def test_benchmark_batched_sweep_throughput(record_report):
     assert rate > 0
 
 
-_RSS_CHILD = """
-import numpy as np
-from repro.inference.testing import integer_network_from_spec
-from repro.models.model_zoo import mobilenet_v1_spec
-from repro.runtime import CompileOptions
-
-narrow = {narrow}
-spec = mobilenet_v1_spec({res}, {width}, num_classes={classes})
-net = integer_network_from_spec(spec, np.random.default_rng(0))
-x = np.random.default_rng(1).uniform(0, 1, size=({sweep}, 3, {res}, {res}))
-if narrow:
-    plan = net.compile(CompileOptions(input_hw=({res}, {res})))
-else:
-    plan = net.compile(CompileOptions(narrow=False, refined_bound=False,
-                                      input_hw=({res}, {res})))
-plan.run_batched(x, batch_size={batch})
-# VmHWM (not ru_maxrss): the rusage high-water mark is inherited across
-# fork+exec on Linux, so a child of a large parent would report the
-# parent's peak; /proc VmHWM is reset when the new image is exec'd.
-with open("/proc/self/status") as f:
-    for line in f:
-        if line.startswith("VmHWM:"):
-            print(int(line.split()[1]))
-            break
-"""
-
-
-def _measure_peak_rss(narrow: bool) -> int:
-    """Peak RSS (kB) of a fresh interpreter running one engine flavour."""
-    import os
-    import subprocess
-
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
-    code = _RSS_CHILD.format(
-        narrow=narrow, res=NARROW_RES, width=NARROW_WIDTH,
-        classes=NUM_CLASSES, sweep=2 * NARROW_BATCH, batch=NARROW_BATCH,
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, check=True,
-        capture_output=True, text=True,
-    )
-    return int(out.stdout.strip().splitlines()[-1])
-
-
-def test_benchmark_narrow_vs_wide(record_report):
-    """E9c — narrow-dtype-native execution vs. the legacy wide pipeline.
-
-    Same network, same arena/stencil machinery; the only differences are
-    what this refactor added: container-width (uint8) code slabs, the
-    chunked accumulator->container requantization, and the weight-data
-    refined accumulator bound (sgemm on the wide pointwise stack).  On
-    the bandwidth-bound 128_1.0 geometry the narrow plan must win
-    >= 1.3x end to end, bit-exactly, with a smaller planned arena and a
-    lower child-process peak RSS.
-    """
-    spec = mobilenet_v1_spec(NARROW_RES, NARROW_WIDTH, num_classes=NUM_CLASSES)
-    net = integer_network_from_spec(spec, np.random.default_rng(0))
-    x = np.random.default_rng(1).uniform(
-        0, 1, size=(NARROW_BATCH, 3, NARROW_RES, NARROW_RES)
-    )
-    narrow = net.compile(CompileOptions(input_hw=(NARROW_RES, NARROW_RES)))
-    wide = _pr2_compile(net, input_hw=(NARROW_RES, NARROW_RES))
-    assert np.array_equal(narrow.run(x), wide.run(x)), "narrow plan diverged from wide"
-
-    t_narrow = _best_of(lambda: narrow.run(x), reps=5)
-    t_wide = _best_of(lambda: wide.run(x), reps=5)
-    speedup = t_wide / t_narrow
-
-    arena_n = narrow.arena_for((NARROW_RES, NARROW_RES))
-    arena_w = wide.arena_for((NARROW_RES, NARROW_RES))
-    rss_n = _measure_peak_rss(narrow=True)
-    rss_w = _measure_peak_rss(narrow=False)
-
-    f32_promoted = sum(
-        1 for i in narrow.layer_info() if i.gemm_dtype == "float32" and i.k_reduction > 257
-    )
-    report = render_table(
-        ["Pipeline", "e2e ms", "imgs/sec", "Planned arena B", "Code pair B", "Peak RSS kB"],
-        [
-            ["wide (PR-2: int64 codes, a-priori tiers)",
-             round(t_wide * 1e3, 1), round(NARROW_BATCH / t_wide, 1),
-             arena_w.planned_bytes(NARROW_BATCH),
-             arena_w.physical_code_bytes(1), rss_w],
-            ["narrow (uint8 codes, chunked requant, refined sgemm)",
-             round(t_narrow * 1e3, 1), round(NARROW_BATCH / t_narrow, 1),
-             arena_n.planned_bytes(NARROW_BATCH),
-             arena_n.physical_code_bytes(1), rss_n],
-        ],
-        title=(
-            f"E9c — MobileNetV1 {NARROW_RES}_{NARROW_WIDTH} batch={NARROW_BATCH}: "
-            f"narrow-native {speedup:.2f}x over the wide pipeline "
-            f"({f32_promoted} wide-k layers promoted to sgemm by the refined "
-            f"bound; code pair {arena_w.physical_code_bytes(1)} -> "
-            f"{arena_n.physical_code_bytes(1)} B == Eq.7 peak; bit-exact)"
-        ),
-    )
-    record_report("engine_narrow_native", report)
-
-    assert arena_n.physical_code_bytes(1) * 8 == arena_w.physical_code_bytes(1)
-    assert arena_n.planned_bytes(NARROW_BATCH) < arena_w.planned_bytes(NARROW_BATCH)
-    assert rss_n < rss_w, f"narrow RSS {rss_n} kB not below wide {rss_w} kB"
-    # Checked-in results record the measured ~1.3-1.4x; the assert keeps
-    # ~10% headroom for shared-machine jitter.
-    assert speedup >= 1.2, (
-        f"narrow-native speedup {speedup:.2f}x below target on the "
-        f"bandwidth-bound config"
-    )
-
-
 # ----------------------------------------------------------------------
 # CI smoke lane: `python benchmarks/bench_engine_throughput.py --quick`
 # ----------------------------------------------------------------------
@@ -398,9 +258,7 @@ def _quick_parity_sweep() -> None:
         x = np.random.default_rng(1).uniform(0, 1, size=(3, 3, res, res))
         ref = net.forward(x)
         flavours = {
-            "narrow": net.compile(),
-            "wide": _pr2_compile(net),
-            "pr1": _pr1_compile(net),
+            "arena": net.compile(),
             "int32": net.compile(CompileOptions(backend="int32")),
             "int64": net.compile(CompileOptions(backend="int64")),
             "stencil": net.compile(CompileOptions(fused_depthwise=True)),
@@ -412,7 +270,7 @@ def _quick_parity_sweep() -> None:
                     f"{res}_{width} @ {bits}-bit: {name} plan diverged from "
                     f"the interpreted int64 reference"
                 )
-        batched = flavours["narrow"].run_batched(x, batch_size=2)
+        batched = flavours["arena"].run_batched(x, batch_size=2)
         if not np.array_equal(ref, batched):
             raise AssertionError(f"{res}_{width} @ {bits}-bit: run_batched diverged")
         # Session-artifact round trip: save -> load -> serve must stay
@@ -437,7 +295,7 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     if args.quick:
-        print("E9 quick parity sweep (narrow/wide/int32/int64/stencil)...")
+        print("E9 quick parity sweep (arena/int32/int64/stencil + artifact round trip)...")
         _quick_parity_sweep()
         print("OK — all engine flavours bit-exact against the reference")
         return 0
@@ -456,7 +314,6 @@ def main(argv=None) -> int:
     test_benchmark_engine_throughput(record)
     test_benchmark_depthwise_fused_speedup(record)
     test_benchmark_batched_sweep_throughput(record)
-    test_benchmark_narrow_vs_wide(record)
     return 0
 
 

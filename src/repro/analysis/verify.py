@@ -181,7 +181,7 @@ def _x_magnitude(z_x: int, x_bits: int) -> int:
     return max(int(z_x), 2 ** x_bits - 1 - int(z_x))
 
 
-def _check_acc_bound(layer, plan_validate: bool, refined: bool,
+def _check_acc_bound(layer, plan_validate: bool,
                      report: VerificationReport) -> None:
     """Accumulator-overflow safety of one compiled layer's dispatch."""
     name = layer.name
@@ -210,10 +210,10 @@ def _check_acc_bound(layer, plan_validate: bool, refined: bool,
         np.abs(w).sum(axis=1, dtype=np.int64) * x_mag
         if w.size else np.zeros(w.shape[0], dtype=np.int64)
     )
-    refined_bound = int(per_channel.max()) if per_channel.size else 0
+    refined = int(per_channel.max()) if per_channel.size else 0
     # The refinement is only sound when boundary validation guarantees
     # in-range codes; mirror the compiler's gating exactly.
-    bound = min(apriori, refined_bound) if (refined and plan_validate) else apriori
+    bound = min(apriori, refined) if plan_validate else apriori
     recorded = int(layer.acc_bound)
     if recorded < bound:
         report.fail(
@@ -318,17 +318,16 @@ def _check_split_k(layer, w: np.ndarray, x_mag: int,
         report.passed("acc-bound")
 
 
-def _check_container(layer, narrow: bool, report: VerificationReport) -> None:
+def _check_container(layer, report: VerificationReport) -> None:
     """Container-dtype soundness of one layer's output codes."""
     name = layer.name
     out_dtype = np.dtype(layer.out_dtype)
-    expected = container_dtype(layer.out_bits) if narrow else _INT64
+    expected = container_dtype(layer.out_bits)
     if out_dtype != expected:
         report.fail(
             "container-dtype", name,
             f"output codes land in {out_dtype.name} but container_dtype"
-            f"({layer.out_bits}) prescribes {expected.name} "
-            f"({'narrow' if narrow else 'wide'} plan)",
+            f"({layer.out_bits}) prescribes {expected.name}",
         )
         return
     qmax = 2 ** layer.out_bits - 1
@@ -491,12 +490,10 @@ def _conv_slab_needs(layer, h: int, w: int) -> Tuple[Dict[str, int], Tuple[int, 
         cols = out_elems * gemm_isz if getattr(layer, "split_k", None) else 0
     else:
         cols = im2col_need
-    acc_in_codes = (not layer.narrow) and np.dtype(layer.gemm_dtype) == _INT64
-    acc = 0 if acc_in_codes else out_elems * gemm_isz
+    acc = out_elems * gemm_isz
     out = out_elems * np.dtype(layer.out_dtype).itemsize
     requant = requant_scratch_bytes(
-        layer.kind, layer.requant_kind, layer.out_channels, out_elems,
-        np.dtype(layer.out_dtype).itemsize,
+        layer.kind, layer.requant_kind, layer.out_channels, out_elems
     )
     return (
         {"pad": pad, "cols": cols, "acc": acc, "out": out, "requant": requant},
@@ -559,9 +556,7 @@ def _check_arena(plan, input_hw: Tuple[int, int],
             return
         needs, (oh, ow) = _conv_slab_needs(layer, h, w)
         in_bytes = (
-            layer.in_channels * h * w
-            * (container_dtype(layer.in_bits).itemsize if layer.narrow
-               else _INT64.itemsize)
+            layer.in_channels * h * w * container_dtype(layer.in_bits).itemsize
         )
         # Capacity: every per-image view this layer takes must fit its
         # slab — the static form of ActivationArena._view's overflow guard.
@@ -706,17 +701,15 @@ def verify_plan(plan, input_hw: Optional[Tuple[int, int]] = None, *,
     ``raise_on_violation`` (the default) and any check failed.
     """
     report = VerificationReport()
-    refined = bool(plan.options.refined_bound)
     for layer in plan.layers:
-        _check_acc_bound(layer, plan.validate, refined, report)
-        _check_container(layer, plan.narrow, report)
+        _check_acc_bound(layer, plan.validate, report)
+        _check_container(layer, report)
         _check_requant(layer, report)
     if plan.classifier is not None:
-        _check_acc_bound(plan.classifier, plan.validate, refined, report)
+        _check_acc_bound(plan.classifier, plan.validate, report)
     _check_chain(plan, report)
-    if plan.use_arena:
-        for hw in _known_geometries(plan, input_hw):
-            _check_arena(plan, hw, schedule, report)
+    for hw in _known_geometries(plan, input_hw):
+        _check_arena(plan, hw, schedule, report)
     if raise_on_violation:
         report.raise_if_failed()
     return report
@@ -794,7 +787,7 @@ def verify_artifact(path: Union[str, Path],
             )
         else:
             report.passed("acc-bound")
-    if arena_info is not None and plan.use_arena and hw is not None:
+    if arena_info is not None and hw is not None:
         recorded_peak = int(arena_info.get("rw_peak_bytes", -1))
         actual_peak = plan.arena_for(hw).logical_rw_peak_bytes
         if recorded_peak != actual_peak:

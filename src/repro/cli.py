@@ -112,8 +112,14 @@ def _cmd_deploy(args: argparse.Namespace) -> int:
             policy = QuantPolicy.from_json(fh.read())
     report = deploy(spec, device, method=method, policy=policy, strict=False)
     print(report.summary())
-    top1 = AccuracyModel().predict_top1(spec, report.policy)
-    print(f"  predicted Top-1  : {top1:6.2f} %")
+    try:
+        top1 = AccuracyModel().predict_top1(spec, report.policy)
+        print(f"  predicted Top-1  : {top1:6.2f} %")
+    except KeyError:
+        # The accuracy model only covers configs with a published
+        # full-precision baseline; the deployment itself does not need one.
+        print(f"  predicted Top-1  : n/a (no published baseline for "
+              f"({spec.resolution}, {spec.width_multiplier}))")
     if args.save_artifact:
         session = pipeline(
             spec, policy=report.policy,

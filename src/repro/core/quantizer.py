@@ -87,11 +87,17 @@ def compute_affine_params(
     b = np.asarray(b, dtype=np.float64)
     if np.any(b < a):
         raise ValueError("quantization range must have b >= a")
-    span = b - a
+    steps = spec.levels - 1
+    # A range wider than float64 can hold overflows ``b - a`` to inf; its
+    # scale comes from the halves ``b/(L-1) - a/(L-1)``, which stay
+    # finite.  Every other range keeps the exact ``(b - a)/(L-1)``.
+    with np.errstate(over="ignore"):
+        span = b - a
+    span_scale = np.where(np.isfinite(span), span / steps, b / steps - a / steps)
     # Degenerate (constant) ranges get a scale that still represents the
     # constant value exactly on the grid.
-    fallback = np.maximum(np.abs(a), 1.0) / (spec.levels - 1)
-    scale = np.where(span > 0, span / (spec.levels - 1), fallback)
+    fallback = np.maximum(np.abs(a), 1.0) / steps
+    scale = np.where(span > 0, span_scale, fallback)
     # A positive but subnormal span can still underflow to scale == 0 in
     # the division above; such a range is indistinguishable from constant
     # at float64 resolution, so it takes the constant-range fallback too

@@ -55,7 +55,7 @@ from repro.nn.functional import conv_output_size
 
 _INT64_BYTES = np.dtype(np.int64).itemsize
 
-#: Target size of one requantization tile.  The narrow-native plan
+#: Target size of one requantization tile.  The compiled plan
 #: requantizes the accumulator in cache-blocked chunks through a small
 #: int64 scratch (Eq. 5 needs 64-bit intermediates for the Q31 multiply)
 #: and stores straight into the container-width code slab — instead of
@@ -72,8 +72,7 @@ class LayerGeometry:
     ``gemm_itemsize`` is the byte width of the layer's GEMM operands and
     accumulator (float32/float64/int32/int64 depending on dispatch);
     ``out_itemsize`` the container width its output codes are stored at
-    (1 for every <=8-bit activation under the narrow-native plan, 8 for
-    the legacy wide plan); ``requant_kind`` selects the requantization
+    (1 for every <=8-bit activation); ``requant_kind`` selects the requantization
     scratch requirement (``"fixed"`` fixed-point Eq. 5, ``"thr"``
     thresholds, ``""`` for fc).
     """
@@ -220,16 +219,16 @@ class LayerActivationPlan:
 
 
 def requant_scratch_bytes(kind: str, requant_kind: str, c_out: int,
-                           out_elems: int, out_itemsize: int) -> int:
+                           out_elems: int) -> int:
     """Fixed int64 scratch one layer's chunked requantization needs.
 
     Fixed-point layers tile the accumulator into ~``REQUANT_SCRATCH_BYTES``
     chunks (never smaller than one (C, 1) column so the per-channel
     constants broadcast); threshold layers consume one whole image at a
-    time (per-channel ``searchsorted`` wants contiguous rows).  Legacy
-    wide layers (int64 containers) requantize in place and need none.
+    time (per-channel ``searchsorted`` wants contiguous rows).  The fc
+    layer emits float logits and needs none.
     """
-    if kind == "fc" or out_itemsize >= _INT64_BYTES:
+    if kind == "fc":
         return 0
     if requant_kind == "thr":
         return out_elems * _INT64_BYTES
@@ -299,8 +298,7 @@ def plan_activations(
                 gemm_itemsize=g.gemm_itemsize,
                 out_itemsize=g.out_itemsize,
                 requant_bytes=requant_scratch_bytes(
-                    g.kind, g.requant_kind, g.out_channels, out_elems,
-                    g.out_itemsize,
+                    g.kind, g.requant_kind, g.out_channels, out_elems
                 ),
             )
         )
@@ -521,7 +519,7 @@ class ActivationArena:
         return slab[:nbytes].view(dtype).reshape(shape)
 
     # -- per-call views ------------------------------------------------
-    def codes(self, slot: int, shape: Tuple[int, ...], dtype=np.int64) -> np.ndarray:
+    def codes(self, slot: int, shape: Tuple[int, ...], dtype=np.uint8) -> np.ndarray:
         return self._view(self._codes[slot % 2], dtype, shape)
 
     def pad(self, dtype, shape: Tuple[int, ...]) -> np.ndarray:

@@ -9,7 +9,6 @@ the final classifier dequantization used to produce real-valued logits.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional, Union
 
@@ -260,7 +259,7 @@ class IntegerNetwork:
         """Class predictions for a real image batch."""
         return np.argmax(self.forward(x_real), axis=1)
 
-    def compile(self, options=None, **legacy_kwargs):
+    def compile(self, options=None):
         """Compile the graph into an :class:`~repro.inference.plan.ExecutionPlan`.
 
         ``options`` is a :class:`repro.runtime.CompileOptions`; ``None``
@@ -270,45 +269,13 @@ class IntegerNetwork:
         weight-data refined bound), runs range validation only at the
         network boundary, routes depthwise layers through the fused
         stencil kernel, stores activation codes at container width
-        (``narrow=True``; uint8 for the paper's networks), executes
-        inside a static activation arena (planned eagerly when
-        ``options.input_hw`` is given), and exposes a tiled
-        ``run_batched`` for large sweeps.  Outputs are bit-identical to
-        this interpreted engine.
-
-        .. deprecated::
-            The historical loose keyword form
-            (``compile(backend=..., narrow=..., ...)``) still works but
-            emits a ``DeprecationWarning``; it builds the identical
-            ``CompileOptions`` and forwards.
+        (uint8 for the paper's networks) inside a static activation
+        arena (planned eagerly when ``options.input_hw`` is given), and
+        exposes a tiled ``run_batched`` for large sweeps.  Outputs are
+        bit-identical to this interpreted engine.
         """
         from repro.inference.plan import ExecutionPlan
 
-        if isinstance(options, str):
-            # Legacy positional form: compile("int32") bound the string
-            # to the old leading `backend` parameter.
-            if "backend" in legacy_kwargs:
-                raise TypeError(
-                    "compile() got multiple values for argument 'backend'"
-                )
-            legacy_kwargs = {"backend": options, **legacy_kwargs}
-            options = None
-        if legacy_kwargs:
-            if options is not None:
-                raise TypeError(
-                    "pass either options=CompileOptions(...) or the legacy "
-                    "keyword arguments, not both"
-                )
-            from repro.runtime.options import CompileOptions
-
-            warnings.warn(
-                "IntegerNetwork.compile(**kwargs) with loose keyword options "
-                "is deprecated; pass repro.runtime.CompileOptions instead, "
-                "e.g. net.compile(CompileOptions(narrow=False))",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            options = CompileOptions.from_legacy_kwargs(**legacy_kwargs)
         return ExecutionPlan(self, options)
 
     def weight_storage_bytes(self) -> int:

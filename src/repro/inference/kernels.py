@@ -174,7 +174,7 @@ def quantize_input_codes(
     The single boundary quantizer shared by the interpreted engine and
     the compiled plan, so their bit-exactness contract cannot drift.
     ``dtype`` selects the code container: the interpreted reference keeps
-    int64, the narrow-native plan passes the uint8 container.
+    int64, the compiled plan passes the uint8 container.
     """
     q = np.floor(np.asarray(x_real, dtype=np.float64) / scale)
     q = q + zero_point

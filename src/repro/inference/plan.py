@@ -24,18 +24,15 @@ per-inference path:
   fixed-point shift is split into its divisor / left-shift parts;
 * range validation runs once at the network boundary (``validate=True``
   by default there) instead of per layer inside the hot loop;
-* activation codes live at their *container width* end to end
-  (``narrow=True``, the default): uint8 slabs for every <=8-bit
-  activation, requantized accumulators streamed through a small
-  cache-blocked int64 scratch straight into the narrow code slab — the
-  arena's physical code bytes match the paper's Eq. 7 accounting for
-  8-bit networks instead of inflating 8x through int64.  ``narrow=False``
-  restores the legacy int64-code pipeline for A/B comparisons;
+* activation codes live at their *container width* end to end: uint8
+  slabs for every <=8-bit activation, requantized accumulators streamed
+  through a small cache-blocked int64 scratch straight into the code
+  slab — the arena's physical code bytes match the paper's Eq. 7
+  accounting for 8-bit networks;
 * activation and scratch buffers come from a static
   :class:`~repro.inference.arena.ActivationArena` sized at plan time, so
   steady-state inference performs no per-layer allocations and peak host
-  activation memory equals the compile-time plan (``use_arena=False``
-  restores per-call allocation for A/B tests).
+  activation memory equals the compile-time plan.
 
 The plan executes bit-identically to ``IntegerNetwork.forward`` — the
 tests assert equality against the int64 einsum reference — and
@@ -61,7 +58,6 @@ from repro.inference.arena import (
     ActivationArena,
     LayerGeometry,
     plan_activations,
-    requant_scratch_bytes,
 )
 from repro.inference.kernels import (
     FLOAT32_EXACT_BITS,
@@ -175,18 +171,12 @@ class _CompiledFixedPointRequant:
     floor division by ``2^pos``, which over int64 equals an arithmetic
     right shift — several times faster than ``floor_divide``.
 
-    Two entry points, bit-identical by construction (and by test):
-
-    ``__call__(phi)``
-        The legacy wide path: every step runs in place on the
-        caller-owned int64 accumulator.
-    ``store(phi, out, scratch)``
-        The narrow path: the accumulator (float32/float64/int32/int64)
-        is tiled through the small int64 ``scratch`` in cache-resident
-        chunks — Eq. 5's Q31 multiply needs 64-bit intermediates — and
-        each requantized chunk is stored straight into the
-        container-width ``out`` codes, so the full-size int64 round trip
-        of the wide path never touches memory.
+    ``store(phi, out, scratch)`` tiles the accumulator
+    (float32/float64/int32/int64) through the small int64 ``scratch`` in
+    cache-resident chunks — Eq. 5's Q31 multiply needs 64-bit
+    intermediates — and stores each requantized chunk straight into the
+    container-width ``out`` codes, so no full-size int64 copy of the
+    layer output ever touches memory.
     """
 
     kind = "fixed"
@@ -211,10 +201,6 @@ class _CompiledFixedPointRequant:
         phi += self.z_y
         np.clip(phi, 0, self.qmax, out=phi)
         return phi
-
-    def __call__(self, phi: np.ndarray) -> np.ndarray:
-        # ``phi`` is owned by the caller's layer and safe to mutate.
-        return self._steps(phi)
 
     # hot
     def store(self, phi: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -254,10 +240,9 @@ def _compile_folded_requant(params: FoldedBNParams) -> _CompiledFixedPointRequan
 class _CompiledThresholdRequant:
     """Per-channel threshold tables pre-sliced/pre-reversed for searchsorted.
 
-    ``__call__`` requantizes an int64 accumulator in place (legacy wide
-    path); ``store`` consumes the accumulator one image at a time through
-    the int64 scratch — ``searchsorted`` compares in the integer domain —
-    and writes the clipped levels into the container-width code slab.
+    ``store`` consumes the accumulator one image at a time through the
+    int64 scratch — ``searchsorted`` compares in the integer domain — and
+    writes the clipped levels into the container-width code slab.
     """
 
     kind = "thr"
@@ -278,13 +263,6 @@ class _CompiledThresholdRequant:
         else:
             y = self.levels - 1 - np.searchsorted(table, vals, side="left")
         return y
-
-    def __call__(self, phi: np.ndarray) -> np.ndarray:
-        for c, (table, direction) in enumerate(self.tables):
-            vals = phi[:, c, :]
-            y = self._levels_for(vals, table, direction)
-            np.clip(y, 0, self.levels - 1, out=vals)
-        return phi
 
     # hot
     def store(self, phi: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -326,19 +304,15 @@ class CompiledConvLayer:
     batch's im2col column tensor would blow the cache threshold and turn
     the layer memory-bound (:func:`~repro.inference.kernels.depthwise_prefers_stencil`).
 
-    ``narrow`` stores the output codes at container width (uint8 for
-    <=8-bit activations) and requantizes through the chunked scratch;
-    ``narrow=False`` keeps the legacy int64 code pipeline.
-
-    Called with an :class:`~repro.inference.arena.ActivationArena`, the
-    layer computes entirely inside preallocated slab views and returns a
-    view into the arena's code slot ``slot``; called without, it keeps
-    the fresh-allocation behaviour (the reference for the arena tests).
+    The output codes are stored at container width (uint8 for <=8-bit
+    activations), requantized through the arena's chunked scratch.  The
+    layer computes entirely inside the
+    :class:`~repro.inference.arena.ActivationArena`'s preallocated slab
+    views and returns a view into its code slot ``slot``.
     """
 
     def __init__(self, layer, backend: str = "auto", validate: bool = True,
-                 fused_depthwise="auto", narrow: bool = True,
-                 refined_bound: bool = True):
+                 fused_depthwise="auto"):
         p = layer.params
         self.name = layer.name
         self.kind = layer.kind
@@ -347,7 +321,6 @@ class CompiledConvLayer:
         self.in_bits = int(layer.in_bits)
         self.out_bits = int(layer.out_bits)
         self.w_bits = int(p.w_bits)
-        self.narrow = bool(narrow)
         w = p.weights_q
         if validate:
             check_codes(f"{self.name} weight", w, self.w_bits)
@@ -360,11 +333,11 @@ class CompiledConvLayer:
         # Refined accumulator bound: the actual shifted weights are in
         # hand, so dispatch on max_o sum_k |W'| * max|X - Zx| instead of
         # the a-priori corner case (exact for codes within range, which
-        # compile()/boundary validation guarantees).  ``refined_bound=False``
-        # (or disabling validation, which voids the range guarantee the
-        # refinement relies on) restores the a-priori corner-case tiering.
+        # compile()/boundary validation guarantees).  Disabling validation
+        # voids the range guarantee the refinement relies on and restores
+        # the a-priori corner-case tiering.
         self.acc_bound = max_abs_accumulator(self.k_reduction, self.in_bits, self.w_bits)
-        if refined_bound and validate:
+        if validate:
             self.acc_bound = min(
                 self.acc_bound,
                 refined_max_abs_accumulator(w_shift, self.z_x, self.in_bits),
@@ -381,7 +354,7 @@ class CompiledConvLayer:
         self.split_k = None
         if (
             self.backend == "blas" and gemm_dtype == np.float64
-            and refined_bound and validate
+            and validate
             and self.kind == "pw" and self.kh == 1 and self.kw == 1
             and self.stride == 1 and self.padding == 0
         ):
@@ -389,9 +362,7 @@ class CompiledConvLayer:
             if self.split_k is not None:
                 self.gemm_dtype = np.dtype(np.float32)
                 self.acc_dtype = np.dtype(np.float64)
-        self.out_dtype = (
-            container_dtype(self.out_bits) if self.narrow else _INT64
-        )
+        self.out_dtype = container_dtype(self.out_bits)
         if fused_depthwise is True:
             mode = "always"
         elif fused_depthwise is False:
@@ -432,8 +403,8 @@ class CompiledConvLayer:
         return int_einsum_gemm(self.w2, cols, out=out)
 
     # hot
-    def _shift_pad(self, x_codes: np.ndarray, dtype, arena) -> np.ndarray:
-        """Zero-point shift and zero-pad in a single (or zero) allocation.
+    def _shift_pad(self, x_codes: np.ndarray, dtype, arena: ActivationArena) -> np.ndarray:
+        """Zero-point shift and zero-pad into the arena's pad slab.
 
         Writing ``x - Z_x`` straight into the interior of the padded
         buffer fuses what the interpreted path does in two full-tensor
@@ -444,43 +415,25 @@ class CompiledConvLayer:
         p = self.padding
         n, c, h, w = x_codes.shape
         if p == 0:
-            if arena is not None:
-                out = arena.pad(dtype, (n, c, h, w))
-                return np.subtract(x_codes, self.z_x, out=out, dtype=dtype)
-            return np.subtract(x_codes, self.z_x, dtype=dtype)
-        shape = (n, c, h + 2 * p, w + 2 * p)
-        if arena is not None:
-            out = arena.pad(dtype, shape)
-            out.fill(0)
-        else:
-            out = np.zeros(shape, dtype=dtype)  # analysis: ignore[hot-alloc] — arena-less fallback
+            out = arena.pad(dtype, (n, c, h, w))
+            return np.subtract(x_codes, self.z_x, out=out, dtype=dtype)
+        out = arena.pad(dtype, (n, c, h + 2 * p, w + 2 * p))
+        out.fill(0)
         np.subtract(x_codes, self.z_x, out=out[:, :, p:-p, p:-p], dtype=dtype)
         return out
 
     # hot
-    def _unfold(self, x_shift: np.ndarray, arena, n: int, l_out: int) -> np.ndarray:
+    def _unfold(self, x_shift: np.ndarray, arena: ActivationArena, n: int,
+                l_out: int) -> np.ndarray:
         """im2col columns — a pure view for 1x1/s1, an arena slab otherwise."""
         if self.kh == 1 and self.kw == 1 and self.stride == 1:
             return x_shift.reshape(n, self.in_channels, l_out)
         shape = (n, self.in_channels * self.kh * self.kw, l_out)
-        if arena is not None:
-            return im2col(x_shift, self.kh, self.kw, self.stride, 0,
-                          out=arena.cols(x_shift.dtype, shape))
-        return im2col(x_shift, self.kh, self.kw, self.stride, 0, contiguous=False)
+        return im2col(x_shift, self.kh, self.kw, self.stride, 0,
+                      out=arena.cols(x_shift.dtype, shape))
 
     # hot
-    def _requant_scratch(self, n: int, l_out: int, arena) -> np.ndarray:
-        if arena is not None:
-            return arena.requant_scratch()
-        # Same sizing rule as the arena planner (single source of truth).
-        nbytes = requant_scratch_bytes(
-            self.kind, self.requant_kind, self.out_channels,
-            self.out_channels * l_out, np.dtype(self.out_dtype).itemsize,
-        )
-        return np.empty(max(1, nbytes // 8), dtype=np.int64)  # analysis: ignore[hot-alloc] — arena-less fallback
-
-    # hot
-    def __call__(self, x_codes: np.ndarray, arena: Optional[ActivationArena] = None,
+    def __call__(self, x_codes: np.ndarray, arena: ActivationArena,
                  slot: int = 0) -> np.ndarray:
         n, c, h, w = x_codes.shape
         oh = conv_output_size(h, self.kh, self.stride, self.padding)
@@ -493,23 +446,13 @@ class CompiledConvLayer:
                 n, c, self.kh, self.kw, oh, ow, self.gemm_itemsize,
                 stride=self.stride))
         )
-        # Narrow layers always accumulate into the acc slab (the codes
-        # slab is too narrow for the accumulator); wide int64 layers keep
-        # the legacy shortcut of contracting straight into the int64
-        # codes slab.
-        acc_in_codes = (not self.narrow) and self.gemm_dtype == _INT64
         x_shift = self._shift_pad(x_codes, self.gemm_dtype, arena)
         if fused:
             # Per-tap strided stencil; the cols slab serves as the tap
             # temporary (it is never used for columns on this path).
-            if arena is None:
-                acc = None
-            elif acc_in_codes:
-                acc = arena.codes(slot, (n, c, oh, ow))
-            else:
-                acc = arena.acc(self.gemm_dtype, (n, c, oh, ow))
+            acc = arena.acc(self.gemm_dtype, (n, c, oh, ow))
             tmp = (arena.cols(self.gemm_dtype, (n, c, oh, ow))
-                   if arena is not None and self.k_reduction > 1 else None)
+                   if self.k_reduction > 1 else None)
             phi = depthwise_stencil_accumulate(
                 x_shift, self.w_cols, self.kh, self.kw, self.stride, out=acc, tmp=tmp
             ).reshape(n, c, l_out)
@@ -518,12 +461,8 @@ class CompiledConvLayer:
             if self.split_k is not None:
                 # Chunked sgemm over the K-partition, each chunk exact in
                 # float32, summed exactly in the float64 accumulator.
-                if arena is not None:
-                    acc = arena.acc(np.float64, out_shape)
-                    tmp = arena.cols(self.gemm_dtype, out_shape)
-                else:
-                    acc = np.empty(out_shape, dtype=np.float64)  # analysis: ignore[hot-alloc] — arena-less fallback
-                    tmp = np.empty(out_shape, dtype=self.gemm_dtype)  # analysis: ignore[hot-alloc] — arena-less fallback
+                acc = arena.acc(np.float64, out_shape)
+                tmp = arena.cols(self.gemm_dtype, out_shape)
                 (k0, k1), *rest = self.split_k
                 np.matmul(self.w2_chunks[0], cols[:, k0:k1, :], out=tmp)
                 np.copyto(acc, tmp)
@@ -533,44 +472,21 @@ class CompiledConvLayer:
                 phi = acc
             elif self.kind == "dw":
                 cols = cols.reshape(n, c, self.k_reduction, l_out)
-                acc = arena.acc(self.gemm_dtype, (n, c, 1, l_out)) if arena is not None else None
+                acc = arena.acc(self.gemm_dtype, (n, c, 1, l_out))
                 phi = np.matmul(self.w2, cols, out=acc).reshape(n, c, l_out)
             else:
-                acc = arena.acc(self.gemm_dtype, out_shape) if arena is not None else None
-                phi = np.matmul(self.w2, cols, out=acc)
+                phi = np.matmul(self.w2, cols, out=arena.acc(self.gemm_dtype, out_shape))
         else:
             cols = self._unfold(x_shift, arena, n, l_out)
             if self.kind == "dw":
                 cols = cols.reshape(n, c, self.k_reduction, l_out)
-            if arena is None:
-                acc = None
-            elif acc_in_codes:
-                # Wide: the int64 contraction writes straight into the
-                # output code slab — no separate accumulator, no copy.
-                acc = arena.codes(slot, out_shape)
-            else:
-                acc = arena.acc(self.gemm_dtype, out_shape)
-            phi = self._accumulate_int(cols, out=acc)
-        phi = phi.reshape(out_shape)
-        if self.narrow:
-            # Chunked requantization: accumulator -> int64 scratch tiles
-            # -> container-width codes.  Exact: every accumulator value
-            # is an integer below the refined bound by construction.
-            if arena is not None:
-                out = arena.codes(slot, out_shape, self.out_dtype)
-            else:
-                out = np.empty(out_shape, dtype=self.out_dtype)  # analysis: ignore[hot-alloc] — arena-less fallback
-            self.requant.store(phi, out, self._requant_scratch(n, l_out, arena))
-            return out.reshape(n, self.out_channels, oh, ow)
-        # Legacy wide path: int64 codes, requantized in place.
-        if phi.dtype == np.int64:
-            phi64 = phi
-        elif arena is not None:
-            phi64 = arena.codes(slot, out_shape)
-            np.copyto(phi64, phi, casting="unsafe")
-        else:
-            phi64 = phi.astype(np.int64)  # analysis: ignore[hot-alloc] — arena-less fallback
-        return self.requant(phi64).reshape(n, self.out_channels, oh, ow)
+            phi = self._accumulate_int(cols, out=arena.acc(self.gemm_dtype, out_shape))
+        # Chunked requantization: accumulator -> int64 scratch tiles ->
+        # container-width codes.  Exact: every accumulator value is an
+        # integer below the layer's accumulator bound by construction.
+        out = arena.codes(slot, out_shape, self.out_dtype)
+        self.requant.store(phi.reshape(out_shape), out, arena.requant_scratch())
+        return out.reshape(n, self.out_channels, oh, ow)
 
 
 class CompiledLinear:
@@ -579,8 +495,7 @@ class CompiledLinear:
     accumulator dtype uses the same refined weight-data bound as the
     conv layers (sgemm on most classifier widths)."""
 
-    def __init__(self, layer, backend: str = "auto", validate: bool = True,
-                 refined_bound: bool = True):
+    def __init__(self, layer, backend: str = "auto", validate: bool = True):
         self.name = layer.name
         self.kind = "fc"
         self.in_bits = int(layer.in_bits)
@@ -592,7 +507,7 @@ class CompiledLinear:
         self.z_x = int(layer.z_x)
         w_shift = shift_weights(layer.weights_q, layer.z_w, self.out_channels)
         self.acc_bound = max_abs_accumulator(self.k_reduction, self.in_bits, self.w_bits)
-        if refined_bound and validate:
+        if validate:
             self.acc_bound = min(
                 self.acc_bound,
                 refined_max_abs_accumulator(w_shift, self.z_x, self.in_bits),
@@ -646,23 +561,18 @@ class ExecutionPlan:
     """Compiled form of an :class:`~repro.inference.engine.IntegerNetwork`.
 
     Construction is driven by a single
-    :class:`~repro.runtime.options.CompileOptions` value (the loose
-    keyword arguments of earlier revisions survive only through the
-    deprecated ``IntegerNetwork.compile(**kwargs)`` shim):
+    :class:`~repro.runtime.options.CompileOptions` value.
 
     ``options.validate`` controls the boundary range check on incoming
-    codes and a one-time weight-code check at compile time; the per-call
-    per-layer scans of the interpreted engine never run inside the plan.
-    ``options.use_arena`` routes all activation/scratch traffic through
-    a static :class:`~repro.inference.arena.ActivationArena` (planned
-    lazily per input geometry, or eagerly when ``options.input_hw`` is
-    given).  ``options.fused_depthwise`` selects the stencil depthwise
-    kernel: ``"auto"`` (default) per-call by the cache-threshold rule,
-    ``True`` always, ``False`` never.  ``options.narrow`` (default)
-    keeps activation codes at container width end to end;
-    ``narrow=False`` plus ``use_arena=False`` plus
-    ``fused_depthwise=False`` restores the PR-1 int64 im2col behaviour
-    for A/B comparisons and tests.
+    codes and a one-time weight-code check at compile time (and with it
+    the refined-bound dispatch); the per-call per-layer scans of the
+    interpreted engine never run inside the plan.  All activation and
+    scratch traffic goes through a static
+    :class:`~repro.inference.arena.ActivationArena` holding codes at
+    container width (planned lazily per input geometry, or eagerly when
+    ``options.input_hw`` is given).  ``options.fused_depthwise`` selects
+    the stencil depthwise kernel: ``"auto"`` (default) per-call by the
+    cache-threshold rule, ``True`` always, ``False`` never.
     """
 
     def __init__(self, network, options=None):
@@ -673,18 +583,13 @@ class ExecutionPlan:
         elif not isinstance(options, CompileOptions):
             raise TypeError(
                 f"options must be a repro.runtime.CompileOptions, got "
-                f"{type(options).__name__!r} — the loose-kwargs form only "
-                f"survives through IntegerNetwork.compile(**kwargs)"
+                f"{type(options).__name__!r}"
             )
         self.options = options
         self.validate = bool(options.validate)
-        self.use_arena = bool(options.use_arena)
-        self.narrow = bool(options.narrow)
         self.layers: List[CompiledConvLayer] = [
             CompiledConvLayer(l, backend=options.backend, validate=self.validate,
-                              fused_depthwise=options.fused_depthwise,
-                              narrow=self.narrow,
-                              refined_bound=options.refined_bound)
+                              fused_depthwise=options.fused_depthwise)
             for l in network.conv_layers
         ]
         self.input_scale = float(network.input_scale)
@@ -694,8 +599,7 @@ class ExecutionPlan:
         self.classifier: Optional[CompiledLinear] = (
             None if network.classifier is None
             else CompiledLinear(network.classifier, backend=options.backend,
-                                validate=self.validate,
-                                refined_bound=options.refined_bound)
+                                validate=self.validate)
         )
         self._arenas: Dict[Tuple[int, int], ActivationArena] = {}
         # Shape-polymorphic plans size one arena for the declared max
@@ -710,11 +614,10 @@ class ExecutionPlan:
     def quantize_input(self, x_real: np.ndarray) -> np.ndarray:
         """Quantize a real NCHW image batch into input codes (same
         boundary quantizer as the interpreted engine, stored at the
-        input's container width under the narrow plan)."""
-        dtype = container_dtype(self.input_bits) if self.narrow else np.int64
+        input's container width)."""
         return quantize_input_codes(
             x_real, self.input_scale, self.input_zero_point, self.input_bits,
-            dtype=dtype,
+            dtype=container_dtype(self.input_bits),
         )
 
     # -- activation memory planning ------------------------------------
@@ -755,36 +658,37 @@ class ExecutionPlan:
         declared max in either dimension raises ``ValueError``.
         """
         key = (int(input_hw[0]), int(input_hw[1]))
-        arena = self._arenas.get(key)
-        if arena is None:
-            donor = None
-            max_hw = self.options.max_input_hw
-            if self._max_arena is not None and key != max_hw:
-                if key[0] > max_hw[0] or key[1] > max_hw[1]:
-                    raise ValueError(
-                        f"input geometry {key[0]}x{key[1]} exceeds the "
-                        f"plan's declared max geometry "
-                        f"{max_hw[0]}x{max_hw[1]}"
-                    )
-                donor = self._max_arena
-            arena = ActivationArena(
-                plan_activations(self._geometries(), key), slabs_from=donor
-            )
-            self._arenas[key] = arena
+        if key in self._arenas:
+            return self._arenas[key]
+        donor = None
+        max_hw = self.options.max_input_hw
+        if self._max_arena is not None and key != max_hw:
+            if key[0] > max_hw[0] or key[1] > max_hw[1]:
+                raise ValueError(
+                    f"input geometry {key[0]}x{key[1]} exceeds the "
+                    f"plan's declared max geometry "
+                    f"{max_hw[0]}x{max_hw[1]}"
+                )
+            donor = self._max_arena
+        arena = ActivationArena(
+            plan_activations(self._geometries(), key), slabs_from=donor
+        )
+        self._arenas[key] = arena
         return arena
 
     # -- execution -----------------------------------------------------
     def _trunk(self, x_codes: np.ndarray) -> Tuple[np.ndarray, bool]:
         """Run the conv trunk; returns (codes, codes_are_an_arena_view)."""
-        n = x_codes.shape[0]
-        if not (self.use_arena and self.layers and n > 0):
-            for layer in self.layers:
-                x_codes = layer(x_codes)
+        if not self.layers:
             return x_codes, False
-        arena = self.arena_for((x_codes.shape[2], x_codes.shape[3]))
+        n, c, h, w = x_codes.shape
+        if n == 0:
+            shape = self._trunk_shape(c, h, w)
+            return np.empty((0,) + shape, dtype=self.layers[-1].out_dtype), False
+        arena = self.arena_for((h, w))
         arena.ensure(n)
         for i, layer in enumerate(self.layers):
-            x_codes = layer(x_codes, arena=arena, slot=i % 2)
+            x_codes = layer(x_codes, arena, i % 2)
         return x_codes, True
 
     def run_codes(self, x_codes: np.ndarray, validate: Optional[bool] = None) -> np.ndarray:
@@ -818,14 +722,19 @@ class ExecutionPlan:
         dtype = np.dtype(np.float64)
         if self.classifier is not None:
             return (self.classifier.out_channels,), dtype
-        c, h, w = (int(d) for d in input_shape)
+        c, h, w = self._trunk_shape(*input_shape)
+        if self.has_pool:
+            return (c,), dtype
+        return (c, h, w), dtype
+
+    def _trunk_shape(self, c: int, h: int, w: int) -> Tuple[int, int, int]:
+        """Per-image ``(C, H, W)`` of the trunk's output codes."""
+        c, h, w = int(c), int(h), int(w)
         for layer in self.layers:
             h = conv_output_size(h, layer.kh, layer.stride, layer.padding)
             w = conv_output_size(w, layer.kw, layer.stride, layer.padding)
             c = layer.out_channels
-        if self.has_pool:
-            return (c,), dtype
-        return (c, h, w), dtype
+        return c, h, w
 
     def run_batched(self, x_real: np.ndarray, batch_size: int = 32) -> np.ndarray:
         """Stream a large sweep through the plan in fixed-size tiles.

@@ -32,13 +32,13 @@ Vocabulary
 ----------
 :class:`CompileOptions`
     Frozen dataclass of compilation knobs — ``backend`` (GEMM dispatch
-    tier), ``validate`` (boundary/weight range checks), ``use_arena``
-    (static activation arena), ``fused_depthwise`` (stencil kernel
-    dispatch), ``narrow`` (container-width activation codes),
-    ``refined_bound`` (weight-data accumulator bound), ``input_hw``
-    (eager arena planning).  Replaces the historical loose kwargs of
-    ``IntegerNetwork.compile()``, which survive only as a deprecated
-    shim that forwards here.
+    tier), ``validate`` (boundary/weight range checks, and with them the
+    weight-data refined accumulator bound), ``fused_depthwise`` (stencil
+    kernel dispatch), ``input_hw`` (eager arena planning) and
+    ``max_input_hw`` (one shape-polymorphic arena up to a declared
+    geometry).  The only argument of ``IntegerNetwork.compile()``; every
+    plan keeps container-width codes inside its static activation
+    arena.
 :class:`SessionOptions`
     Frozen dataclass of serving knobs — ``batch_size`` (default tile
     for ``run_batched``/``predict``), ``validate`` (per-session

@@ -1,11 +1,11 @@
 """Options dataclasses for the :mod:`repro.runtime` front door.
 
-:class:`CompileOptions` replaces the loose keyword arguments that
-``IntegerNetwork.compile()`` accreted (``backend``, ``validate``,
-``use_arena``, ``fused_depthwise``, ``narrow``, ``refined_bound``,
-``input_hw``) with one frozen, validated, hashable value object —
-the ONNX-Runtime ``SessionOptions`` shape.  :class:`SessionOptions`
-carries the serving-side knobs (batch tiling, boundary-validation
+:class:`CompileOptions` is the single argument of
+``IntegerNetwork.compile()``: one frozen, validated, hashable value
+object (the ONNX-Runtime ``SessionOptions`` shape) holding the five
+settable compile values — ``backend``, ``validate``,
+``fused_depthwise``, ``input_hw`` and ``max_input_hw``.
+:class:`SessionOptions` carries the serving-side knobs (batch tiling, boundary-validation
 override, arena geometry) consumed by :class:`repro.runtime.Session`.
 
 Both classes are plain data: constructing them performs no work beyond
@@ -22,6 +22,10 @@ from typing import Any, Dict, Optional, Tuple, Union
 #: :func:`repro.inference.plan._resolve_compiled_backend`).
 VALID_BACKENDS = ("auto", "blas", "int32", "int64")
 
+#: Compile options of the retired wide / arena-less / a-priori pipelines
+#: that saved manifests may still carry (always at ``True``).
+RETIRED_COMPILE_KEYS = ("narrow", "use_arena", "refined_bound")
+
 
 def _normalize_hw(value: Any) -> Optional[Tuple[int, int]]:
     if value is None:
@@ -34,6 +38,17 @@ def _normalize_hw(value: Any) -> Optional[Tuple[int, int]]:
     if h < 1 or w < 1:
         raise ValueError(f"input_hw must be positive, got {(h, w)}")
     return (h, w)
+
+
+def _reject_unknown(cls: Any, d: Dict[str, Any], what: str) -> None:
+    """``TypeError`` listing the valid names when ``d`` has an unknown one."""
+    valid = {f.name for f in dataclasses.fields(cls)}
+    unknown = set(d) - valid
+    if unknown:
+        raise TypeError(
+            f"unknown {what} option(s) {sorted(unknown)}; "
+            f"valid options are {sorted(valid)}"
+        )
 
 
 @dataclass(frozen=True)
@@ -51,20 +66,12 @@ class CompileOptions:
         exact einsum reference.
     ``validate``
         Range-check weight codes at compile time and activation codes at
-        the network boundary.  Disabling also voids the refined-bound
-        guarantee (dispatch falls back to the a-priori corner case).
-    ``use_arena``
-        Execute inside the static activation arena (zero steady-state
-        allocations).  ``False`` restores per-call allocation for A/B.
+        the network boundary.  Dispatch uses the weight-data refined
+        accumulator bound only under this guarantee; disabling it falls
+        back to the a-priori corner case.
     ``fused_depthwise``
         Depthwise kernel dispatch: ``"auto"`` (cache-threshold rule),
         ``True`` (always the im2col-free stencil), ``False`` (never).
-    ``narrow``
-        Store activation codes at container width (uint8 for all paper
-        widths).  ``False`` restores the legacy int64-code pipeline.
-    ``refined_bound``
-        Use the weight-data refined accumulator bound for dispatch
-        (promotes most wide pointwise layers to float32 BLAS).
     ``input_hw``
         Optional ``(H, W)`` to plan the activation arena eagerly at
         compile time instead of lazily on first run.
@@ -79,10 +86,7 @@ class CompileOptions:
 
     backend: str = "auto"
     validate: bool = True
-    use_arena: bool = True
     fused_depthwise: Union[bool, str] = "auto"
-    narrow: bool = True
-    refined_bound: bool = True
     input_hw: Optional[Tuple[int, int]] = None
     max_input_hw: Optional[Tuple[int, int]] = None
 
@@ -109,24 +113,6 @@ class CompileOptions:
                 f"{self.max_input_hw}"
             )
 
-    @classmethod
-    def from_legacy_kwargs(cls, **kwargs: Any) -> "CompileOptions":
-        """Build options from the historical ``compile(**kwargs)`` names.
-
-        The legacy keyword names map one-to-one onto the dataclass
-        fields; unknown names raise ``TypeError`` listing the valid set,
-        so old call sites fail loudly instead of silently ignoring a
-        typo'd option.
-        """
-        valid = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(kwargs) - valid
-        if unknown:
-            raise TypeError(
-                f"unknown compile option(s) {sorted(unknown)}; "
-                f"valid options are {sorted(valid)}"
-            )
-        return cls(**kwargs)
-
     def replace(self, **changes: Any) -> "CompileOptions":
         """A copy with ``changes`` applied (frozen-dataclass update)."""
         return dataclasses.replace(self, **changes)
@@ -146,7 +132,23 @@ class CompileOptions:
 
     @classmethod
     def from_dict(cls, d: Dict[str, Any]) -> "CompileOptions":
-        return cls.from_legacy_kwargs(**d)
+        """Inverse of :meth:`to_dict`.
+
+        Manifests written before the legacy pipelines were retired carry
+        ``narrow``, ``use_arena`` and ``refined_bound``; each is accepted
+        only at the value every such manifest holds (``True``) and
+        dropped.  Any other value names a pipeline that no longer exists
+        and raises ``ValueError``; an unknown name raises ``TypeError``.
+        """
+        d = dict(d)
+        for key in RETIRED_COMPILE_KEYS:
+            if key in d and d.pop(key) is not True:
+                raise ValueError(
+                    f"compile option {key!r} was retired; only its shipped "
+                    f"value true is accepted"
+                )
+        _reject_unknown(cls, d, "compile")
+        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -200,11 +202,5 @@ class SessionOptions:
 
     @classmethod
     def from_dict(cls, d: Dict[str, Any]) -> "SessionOptions":
-        valid = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - valid
-        if unknown:
-            raise TypeError(
-                f"unknown session option(s) {sorted(unknown)}; "
-                f"valid options are {sorted(valid)}"
-            )
+        _reject_unknown(cls, d, "session")
         return cls(**d)

@@ -333,7 +333,9 @@ class Session:
         With no input, a synthetic batch is drawn at the session's arena
         geometry (``options.input_hw`` falling back to the compile-time
         geometry); layer timings run inside the arena on propagated
-        intermediate codes, exactly like steady-state serving.
+        intermediate codes, exactly like steady-state serving.  Each
+        layer's input is an owned copy of its predecessor's output view,
+        so re-running a layer never reads a slab it is writing.
         """
         plan = self._plan
         if x_real is None:
@@ -345,22 +347,17 @@ class Session:
         prof = SessionProfile(batch_size=n, input_hw=(h, w))
         prof.total_seconds = _best_of(lambda: plan.run(x_real), repeats)
         codes = plan.quantize_input(x_real)
-        arena = None
-        if plan.use_arena and plan.layers:
-            arena = plan.arena_for((h, w))
-            arena.ensure(n)
+        arena = plan.arena_for((h, w))
+        arena.ensure(n)
         infos = {i.name: i for i in plan.layer_info()}
         for i, layer in enumerate(plan.layers):
             info = infos[layer.name]
             dispatch = f"{info.backend}/{info.gemm_dtype}->{info.container}"
             if info.dw_mode:
                 dispatch += f" dw:{info.dw_mode}"
-            if arena is not None:
-                t = _best_of(lambda: layer(codes, arena=arena, slot=i % 2), repeats)
-            else:
-                t = _best_of(lambda: layer(codes), repeats)
+            t = _best_of(lambda: layer(codes, arena, i % 2), repeats)
             prof.layers.append(LayerTiming(layer.name, layer.kind, dispatch, t))
-            codes = layer(codes)  # propagate via owned (non-arena) arrays
+            codes = layer(codes, arena, i % 2).copy()
         if plan.has_pool:
             from repro.inference.kernels import int_avg_pool_global
 
@@ -478,7 +475,6 @@ def pipeline(
     if (
         device is not None
         and policy.feasible
-        and session.plan.use_arena
         and options.input_hw is not None
     ):
         from repro.mcu.deploy import assert_arena_fits

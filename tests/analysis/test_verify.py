@@ -16,8 +16,7 @@ CONFIGS = all_mobilenet_configs(num_classes=5)
 #: Every backend-relevant compile flag combination the issue names.
 FLAG_COMBOS = [
     CompileOptions(input_hw=HW),
-    CompileOptions(input_hw=HW, narrow=False),
-    CompileOptions(input_hw=HW, refined_bound=False),
+    CompileOptions(input_hw=HW, validate=False),
     CompileOptions(input_hw=HW, backend="int32"),
 ]
 

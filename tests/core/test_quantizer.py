@@ -191,6 +191,7 @@ def test_degenerate_float_ranges_stay_on_grid(a, b):
         spec = QuantSpec(bits=bits)
         scale, zp = compute_affine_params(a, b, spec)
         assert np.all(np.asarray(scale) > 0)
+        assert np.all(np.isfinite(scale))
         for rounding in ("round", "floor"):
             q = quantize_affine(np.array([a, b]), scale, zp, spec, rounding=rounding)
             assert q.min() >= spec.qmin and q.max() <= spec.qmax

@@ -12,6 +12,7 @@ from repro.inference.kernels import (
     int_depthwise_conv2d_fused,
     shift_weights,
 )
+from repro.runtime import CompileOptions
 
 
 @st.composite
@@ -158,7 +159,7 @@ class TestAutoDispatch:
         net = integer_network_from_spec(spec, np.random.default_rng(0))
         x = np.random.default_rng(1).uniform(0, 1, size=(2, 3, 32, 32))
         ref = net.forward(x)
-        assert np.array_equal(ref, net.compile(fused_depthwise=mode).run(x))
+        assert np.array_equal(ref, net.compile(CompileOptions(fused_depthwise=mode)).run(x))
 
     def test_auto_engages_stencil_under_lowered_threshold(self, monkeypatch):
         """Force the auto rule to pick the stencil on a small net and
@@ -181,4 +182,4 @@ class TestAutoDispatch:
         spec = mobilenet_v1_spec(32, 0.25, num_classes=5)
         net = integer_network_from_spec(spec, np.random.default_rng(0))
         with pytest.raises(ValueError, match="fused_depthwise"):
-            net.compile(fused_depthwise="sometimes")
+            net.compile(CompileOptions(fused_depthwise="sometimes"))

@@ -9,6 +9,7 @@ from repro.core.policy import QuantMethod, QuantPolicy
 from repro.inference.engine import IntegerAvgPool, IntegerNetwork
 from repro.inference.export import deployment_size_bytes, export_network
 from repro.inference.packing import packed_size_bytes
+from repro.runtime import CompileOptions
 
 
 @pytest.fixture(scope="module")
@@ -163,7 +164,7 @@ class TestExportActivationPlan:
         assert arena["input_hw"] == [32, 32]
         assert arena["rw_peak_bytes"] == max(arena["per_layer_rw_bytes"])
         # The export's plan agrees with the compiled plan's arena.
-        plan = net.compile(input_hw=(32, 32))
+        plan = net.compile(CompileOptions(input_hw=(32, 32)))
         assert arena["rw_peak_bytes"] == plan.arena_for((32, 32)).logical_rw_peak_bytes
         for entry in exported["conv_layers"]:
             act = entry["activations"]

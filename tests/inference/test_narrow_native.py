@@ -3,10 +3,10 @@
 Covers the container-dtype plumbing (quantizer -> QuantizedTensor ->
 packing -> arena -> plan -> export), the weight-data refined accumulator
 bound, the forced int32 MCU-accumulator backend (including max-magnitude
-codes at the int32 boundary), narrow-vs-wide plan parity, and the
-headline memory contract: for a pure 8-bit network the arena's physical
-(container-width) code bytes equal ``core.memory_model.rw_peak_bytes``
-exactly — no more 8x int64 inflation.
+codes at the int32 boundary), plan parity against the interpreted
+reference, and the headline memory contract: for a pure 8-bit network
+the arena's physical (container-width) code bytes equal
+``core.memory_model.rw_peak_bytes`` exactly — no int64 inflation.
 """
 
 import tracemalloc
@@ -40,6 +40,7 @@ from repro.inference.testing import integer_network_from_spec, random_network
 from repro.mcu.deploy import assert_arena_fits
 from repro.mcu.device import MCUDevice
 from repro.models.model_zoo import all_mobilenet_configs, mobilenet_v1_spec
+from repro.runtime import CompileOptions
 
 _ZOO = all_mobilenet_configs(num_classes=5)
 
@@ -200,8 +201,8 @@ class TestRefinedBound:
             assert layer.split_k[-1][1] == layer.k_reduction
             for (_, a), (b, _) in zip(layer.split_k, layer.split_k[1:]):
                 assert a == b  # contiguous partition
-        # Disabled alongside the refined bound (the wide A/B baseline).
-        legacy = net.compile(refined_bound=False)
+        # Disabled with validation, which voids the refined bound.
+        legacy = net.compile(CompileOptions(validate=False))
         assert all(l.split_k is None for l in legacy.layers)
         x = np.random.default_rng(4).uniform(0, 1, size=(2, 3, 64, 64))
         ref = net.forward(x)
@@ -230,23 +231,21 @@ def test_int_einsum_gemm_k_tiling_bit_exact(rng):
 # ----------------------------------------------------------------------
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 2 ** 16), bits=st.sampled_from([2, 4, 8]))
-def test_property_narrow_wide_and_int32_plans_agree(seed, bits):
-    """Random topologies: the narrow (container) plan, the legacy wide
-    (int64) plan, the forced-int32 MCU plan and the interpreted reference
-    all produce identical results."""
+def test_property_narrow_and_int32_plans_agree(seed, bits):
+    """Random topologies: the default (container) plan, the forced-int32
+    MCU plan and the interpreted reference all produce identical
+    results, codes included."""
     net = random_network(
         np.random.default_rng(seed), resolution=11, act_bits=bits, w_bits=bits
     )
     x = np.random.default_rng(seed + 1).uniform(0, 1, size=(2, 3, 11, 11))
     ref = net.forward(x)
     narrow = net.compile()
-    wide = net.compile(narrow=False)
-    mcu = net.compile(backend="int32")
+    mcu = net.compile(CompileOptions(backend="int32"))
     assert np.array_equal(ref, narrow.run(x))
-    assert np.array_equal(ref, wide.run(x))
     assert np.array_equal(ref, mcu.run(x))
     codes = net.quantize_input(x)
-    assert np.array_equal(narrow.run_codes(codes), wide.run_codes(codes))
+    assert np.array_equal(narrow.run_codes(codes), net.forward_codes(codes))
 
 
 def test_fused_kernel_accepts_narrow_codes_with_padding():
@@ -278,8 +277,6 @@ def test_narrow_codes_come_back_in_container_dtype():
     assert codes.dtype == np.uint8
     out = plan.run_codes(codes)
     assert out.dtype == np.uint8
-    wide = net.compile(narrow=False)
-    assert wide.run_codes(net.quantize_input(x)).dtype == np.int64
 
 
 @pytest.mark.parametrize("spec", _ZOO, ids=lambda s: s.label)
@@ -289,7 +286,7 @@ def test_zoo_physical_code_bytes_equal_rw_peak(spec):
     of core.memory_model — not 8x it."""
     net = integer_network_from_spec(spec, np.random.default_rng(0))
     res = spec.resolution
-    plan = net.compile(input_hw=(res, res))
+    plan = net.compile(CompileOptions(input_hw=(res, res)))
     arena = plan.arena_for((res, res))
     policy = QuantPolicy.uniform(spec, method=QuantMethod.PC_ICN, bits=8)
     rw_peak = MemoryModel(spec).rw_peak_bytes(policy)
@@ -298,12 +295,12 @@ def test_zoo_physical_code_bytes_equal_rw_peak(spec):
 
 
 def test_arena_allocation_matches_plan_tracemalloc():
-    """Slab allocation measured with tracemalloc: the narrow arena
-    allocates exactly its planned bytes (codes pair == Eq. 7 peak, no
-    int64 inflation), 8x less code-slab memory than the wide arena."""
+    """Slab allocation measured with tracemalloc: the arena allocates
+    exactly its planned bytes, and its code pair is the Eq. 7 peak (no
+    int64 inflation)."""
     spec = mobilenet_v1_spec(64, 0.25, num_classes=10)
     net = integer_network_from_spec(spec, np.random.default_rng(0))
-    plan = net.compile(input_hw=(64, 64))
+    plan = net.compile(CompileOptions(input_hw=(64, 64)))
     arena = plan.arena_for((64, 64))
     tracemalloc.start()
     arena.ensure(1)
@@ -313,8 +310,6 @@ def test_arena_allocation_matches_plan_tracemalloc():
     # numpy adds a constant per-array header on top of the raw slabs.
     slack = 16 * 1024
     assert planned <= allocated <= planned + slack
-    wide = net.compile(narrow=False, input_hw=(64, 64)).arena_for((64, 64))
-    assert wide.physical_code_bytes(1) == 8 * arena.physical_code_bytes(1)
     policy = QuantPolicy.uniform(spec, method=QuantMethod.PC_ICN, bits=8)
     assert arena.physical_code_bytes(1) == MemoryModel(spec).rw_peak_bytes(policy)
 
@@ -326,7 +321,7 @@ def test_subbyte_containers_stay_one_byte():
     net = integer_network_from_spec(
         spec, np.random.default_rng(0), act_bits=4, w_bits=4
     )
-    plan = net.compile(input_hw=(32, 32))
+    plan = net.compile(CompileOptions(input_hw=(32, 32)))
     arena = plan.arena_for((32, 32))
     assert all(p.out_itemsize == 1 for p in arena.plans if p.kind != "fc")
     assert arena.physical_code_bytes(1) >= arena.logical_rw_peak_bytes
@@ -362,7 +357,7 @@ def test_stride2_stencil_plan_parity(monkeypatch):
     x = np.random.default_rng(1).uniform(0, 1, size=(2, 3, 32, 32))
     ref = net.forward(x)
     assert np.array_equal(ref, net.compile().run(x))
-    assert np.array_equal(ref, net.compile(fused_depthwise=True).run(x))
+    assert np.array_equal(ref, net.compile(CompileOptions(fused_depthwise=True)).run(x))
 
 
 # ----------------------------------------------------------------------
@@ -416,6 +411,6 @@ class TestExportNarrowBlobs:
         spec = mobilenet_v1_spec(64, 0.5, num_classes=5)
         net = integer_network_from_spec(spec, np.random.default_rng(0))
         exported = export_network(net, input_hw=(64, 64))
-        arena = net.compile(input_hw=(64, 64)).arena_for((64, 64))
+        arena = net.compile(CompileOptions(input_hw=(64, 64))).arena_for((64, 64))
         assert exported["arena"]["physical_code_bytes"] == arena.physical_code_bytes(1)
         assert exported["arena"]["rw_peak_bytes"] == arena.logical_rw_peak_bytes

@@ -58,8 +58,8 @@ class TestPlanBitExactness:
 
     def test_forced_int64_plan_matches_blas_plan(self, integer_net, small_dataset):
         x = small_dataset.x_test[:4]
-        blas = integer_net.compile(backend="blas")
-        ref = integer_net.compile(backend="int64")
+        blas = integer_net.compile(CompileOptions(backend="blas"))
+        ref = integer_net.compile(CompileOptions(backend="int64"))
         assert np.array_equal(blas.run(x), ref.run(x))
 
 
@@ -81,7 +81,7 @@ class TestPlanStructure:
         assert all(info.backend == "blas" for info in plan.layer_info())
 
     def test_forced_int64_backend(self, integer_net):
-        plan = integer_net.compile(backend="int64")
+        plan = integer_net.compile(CompileOptions(backend="int64"))
         assert all(info.backend == "int64" for info in plan.layer_info())
 
     def test_depthwise_uses_float32_tier(self, integer_net):
@@ -111,12 +111,12 @@ class TestBoundaryValidation:
             plan.run_codes(bad)
 
     def test_validation_can_be_disabled(self, integer_net, small_dataset):
-        plan = integer_net.compile(validate=False)
+        plan = integer_net.compile(CompileOptions(validate=False))
         codes = integer_net.quantize_input(small_dataset.x_test[:2])
         assert plan.run_codes(codes).shape[0] == 2
 
     def test_per_call_override(self, integer_net):
-        plan = integer_net.compile(validate=False)
+        plan = integer_net.compile(CompileOptions(validate=False))
         bad = np.full((1, 3, 16, 16), 300, dtype=np.int64)
         with pytest.raises(ValueError):
             plan.run_codes(bad, validate=True)
@@ -135,7 +135,7 @@ class TestBoundaryValidation:
         params.weights_q[0, 0, 0, 0] = 700
         with pytest.raises(ValueError, match="weight codes out of UINT8 range"):
             broken.compile()
-        assert broken.compile(validate=False) is not None
+        assert broken.compile(CompileOptions(validate=False)) is not None
 
 
 class TestRunBatched:
@@ -183,3 +183,14 @@ def test_plan_constructor_direct(integer_net, small_dataset):
     plan = ExecutionPlan(integer_net, CompileOptions(backend="auto", validate=True))
     x = small_dataset.x_test[:2]
     assert np.array_equal(plan.run(x), integer_net.forward(x))
+
+
+def test_plan_constructor_rejects_non_options(integer_net):
+    """Only a CompileOptions configures a plan: neither a dict nor the
+    retired loose forms of compile() are accepted."""
+    with pytest.raises(TypeError, match="CompileOptions"):
+        ExecutionPlan(integer_net, {"backend": "auto"})
+    with pytest.raises(TypeError, match="CompileOptions"):
+        integer_net.compile("int64")
+    with pytest.raises(TypeError):
+        integer_net.compile(backend="int64")

@@ -7,10 +7,11 @@ import json
 import numpy as np
 import pytest
 
+from repro.analysis import verify_artifact
 from repro.inference.export import export_network, import_network
 from repro.inference.testing import integer_network_from_spec, random_network
 from repro.models.model_zoo import all_mobilenet_configs, mobilenet_v1_spec
-from repro.runtime import CompileOptions, Session, SessionOptions
+from repro.runtime import ArtifactError, CompileOptions, Session, SessionOptions
 from repro.runtime.artifact import BLOBS_NAME, MANIFEST_NAME, load_artifact
 
 _CONFIGS = all_mobilenet_configs(num_classes=5)
@@ -69,13 +70,50 @@ def test_options_survive_the_round_trip(tmp_path):
     net = integer_network_from_spec(_SMALL, np.random.default_rng(0))
     session = Session(
         net,
-        CompileOptions(backend="int64", narrow=False, fused_depthwise=False),
+        CompileOptions(backend="int64", fused_depthwise=False),
         SessionOptions(batch_size=3, validate=False, input_hw=(32, 32)),
     )
     restored = _roundtrip(tmp_path, session)
     assert restored.compile_options == session.compile_options
     assert restored.options == session.options
     assert all(i.backend == "int64" for i in restored.layer_info())
+
+
+def _with_compile_options(path, **keys):
+    """Rewrite a saved manifest's compile_options in place."""
+    manifest = json.loads((path / MANIFEST_NAME).read_text())
+    manifest["compile_options"].update(keys)
+    (path / MANIFEST_NAME).write_text(json.dumps(manifest))
+    return path
+
+
+_RETIRED = ("narrow", "use_arena", "refined_bound")
+
+
+def test_manifest_with_retired_keys_loads(tmp_path):
+    """Manifests written before the legacy pipelines were retired carry
+    narrow/use_arena/refined_bound at true; they load, run bit-identically
+    to the interpreted oracle and pass the static verifier."""
+    net = integer_network_from_spec(_SMALL, np.random.default_rng(6))
+    saved = Session(net, options=SessionOptions(input_hw=(32, 32))).save(
+        tmp_path / "artifact"
+    )
+    _with_compile_options(saved, **{key: True for key in _RETIRED})
+    restored = Session.load(saved)
+    assert restored.compile_options == CompileOptions()
+    x = np.random.default_rng(7).uniform(0, 1, size=(2, 3, 32, 32))
+    assert np.array_equal(net.forward(x), restored.run(x))
+    assert verify_artifact(saved).ok
+
+
+@pytest.mark.parametrize("key", _RETIRED)
+def test_retired_key_at_false_is_rejected(key, tmp_path):
+    net = integer_network_from_spec(_SMALL, np.random.default_rng(6))
+    saved = _with_compile_options(
+        Session(net).save(tmp_path / "artifact"), **{key: False}
+    )
+    with pytest.raises(ArtifactError, match=key):
+        Session.load(saved)
 
 
 def test_export_import_round_trip_in_memory():

@@ -1,5 +1,7 @@
 """CompileOptions / SessionOptions: validation, normalisation, round trip."""
 
+import dataclasses
+
 import pytest
 
 from repro.runtime import CompileOptions, SessionOptions
@@ -8,16 +10,19 @@ from repro.runtime import CompileOptions, SessionOptions
 class TestCompileOptions:
     def test_defaults_are_the_production_pipeline(self):
         o = CompileOptions()
-        assert o.backend == "auto" and o.validate and o.use_arena
-        assert o.fused_depthwise == "auto" and o.narrow and o.refined_bound
-        assert o.input_hw is None
+        assert o.backend == "auto" and o.validate
+        assert o.fused_depthwise == "auto"
+        assert o.input_hw is None and o.max_input_hw is None
+        assert [f.name for f in dataclasses.fields(o)] == [
+            "backend", "validate", "fused_depthwise", "input_hw", "max_input_hw"
+        ]
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
             CompileOptions().backend = "blas"
 
     def test_hashable_and_equal_by_value(self):
-        assert CompileOptions(narrow=False) == CompileOptions(narrow=False)
+        assert CompileOptions(validate=False) == CompileOptions(validate=False)
         assert len({CompileOptions(), CompileOptions()}) == 1
 
     def test_input_hw_normalised_to_int_tuple(self):
@@ -33,16 +38,16 @@ class TestCompileOptions:
         with pytest.raises(ValueError):
             CompileOptions(**bad)
 
-    def test_from_legacy_kwargs_rejects_unknown_names(self):
+    def test_from_dict_rejects_unknown_names(self):
         with pytest.raises(TypeError, match="valid options"):
-            CompileOptions.from_legacy_kwargs(narow=True)
+            CompileOptions.from_dict({"backnd": "auto"})
 
     def test_replace(self):
         o = CompileOptions().replace(backend="int64")
-        assert o.backend == "int64" and o.narrow
+        assert o.backend == "int64" and o.validate
 
     def test_dict_round_trip(self):
-        o = CompileOptions(backend="int32", narrow=False, input_hw=(8, 8))
+        o = CompileOptions(backend="int32", validate=False, input_hw=(8, 8))
         assert CompileOptions.from_dict(o.to_dict()) == o
 
 

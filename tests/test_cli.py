@@ -59,6 +59,21 @@ class TestDeployCommand:
         # 224_1.0 cannot fit an STM32L4 even at 2 bit.
         assert rc == 1
 
+    def test_deploy_without_published_baseline_saves_artifact(self, tmp_path, capsys):
+        """32x0.25 has no published full-precision Top-1: the accuracy
+        line reads n/a, and the artifact is still written and verifies."""
+        from repro.analysis import verify_artifact
+        from repro.runtime import Session
+
+        path = tmp_path / "model.artifact"
+        rc = cli.main(["deploy", "--resolution", "32", "--width", "0.25",
+                       "--save-artifact", str(path)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "predicted Top-1  : n/a (no published baseline" in out
+        assert Session.load(path).options.input_hw == (32, 32)
+        assert verify_artifact(path).ok
+
 
 class TestSweepAndTable:
     def test_sweep_lists_configs(self, capsys):
