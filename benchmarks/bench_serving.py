@@ -142,7 +142,7 @@ def _tally(lat: LatencyRecorder, statuses, wall):
 async def _run_profile(session, faults_spec, quick):
     faults = FaultInjector.parse(faults_spec) if faults_spec else None
     options = ServerOptions(
-        port=0, max_batch=8, max_wait_ms=2.0, queue_depth=256,
+        port=0, max_batch=8, queue_depth=256,
         default_deadline_ms=0.0,  # measure latency, don't drop
         retry=RetryPolicy(attempts=2, base_delay_s=0.005),
     )
@@ -162,10 +162,14 @@ async def _run_profile(session, faults_spec, quick):
         duration = 0.5 if quick else 2.0
         out["open_loop"] = []
         for qps in sweep:
+            # A fresh recorder per row, so its p50 is this rate's alone.
+            server.stats.queue_wait = LatencyRecorder()
             lat, statuses, wall = await _open_loop(
                 host, port, image, qps, duration, deadline_ms=0)
+            queue_wait = server.stats.queue_wait.summary()["p50_ms"]
             out["open_loop"].append(dict(_tally(lat, statuses, wall),
-                                         offered_qps=qps))
+                                         offered_qps=qps,
+                                         queue_wait_p50_ms=queue_wait))
         out["pending_at_stop"] = len(server.batcher)
         out["server_stats"] = server.stats.to_dict()
         if faults:
@@ -178,7 +182,7 @@ async def _run_profile(session, faults_spec, quick):
 async def _run_workers_point(session, artifact_path, workers, quick):
     """Closed-loop drive against a pooled server of the given width."""
     options = ServerOptions(
-        port=0, max_batch=8, max_wait_ms=2.0, queue_depth=256,
+        port=0, max_batch=8, queue_depth=256,
         default_deadline_ms=0.0,
         retry=RetryPolicy(attempts=2, base_delay_s=0.005),
         workers=workers,
@@ -233,7 +237,7 @@ async def _run_fleet_axis(fleet_dir, quick):
     registry = ModelRegistry.from_directory(fleet_dir,
                                             memory_budget_bytes=budget)
     options = ServerOptions(
-        port=0, max_batch=8, max_wait_ms=2.0, queue_depth=256,
+        port=0, max_batch=8, queue_depth=256,
         default_deadline_ms=0.0,
         retry=RetryPolicy(attempts=2, base_delay_s=0.005),
     )
@@ -379,7 +383,8 @@ def run_bench(quick: bool, output: Path, workers_list) -> int:
         for point in report[label]["open_loop"]:
             print(f"{label:>8}  open@{point['offered_qps']:<4}    "
                   f"{point['achieved_qps']:>7} qps   "
-                  f"p50 {point['p50_ms']:>7} ms   p99 {point['p99_ms']:>7} ms")
+                  f"p50 {point['p50_ms']:>7} ms   p99 {point['p99_ms']:>7} ms   "
+                  f"queue wait p50 {point['queue_wait_p50_ms']:>6} ms")
     for point in report["workers_axis"]:
         print(f" workers={point['workers']:<2} closed-loop  "
               f"{point['achieved_qps']:>7} qps   "

@@ -183,7 +183,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     options = ServerOptions(
         host=args.host, port=args.port,
-        max_batch=args.max_batch, max_wait_ms=args.max_wait_ms,
+        max_batch=args.max_batch,
         queue_depth=args.queue_depth,
         default_deadline_ms=args.deadline_ms,
         batch_timeout_s=args.batch_timeout,
@@ -377,9 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--port", type=int, default=8707,
                          help="TCP port (0 = ephemeral; default: 8707)")
     p_serve.add_argument("--max-batch", type=int, default=8,
-                         help="micro-batch tile size (default: 8)")
-    p_serve.add_argument("--max-wait-ms", type=float, default=5.0,
-                         help="partial-tile flush timeout (default: 5 ms)")
+                         help="micro-batch tile size; a tile is sent the "
+                              "moment an engine slot is free, with whatever "
+                              "is pending up to this size (default: 8)")
     p_serve.add_argument("--queue-depth", type=int, default=64,
                          help="admission queue bound; beyond it requests "
                               "are shed with a 503 (default: 64)")

@@ -3,7 +3,8 @@
 The serving tier turns the synchronous, single-process
 :class:`repro.runtime.Session` into a network service built for
 failure: concurrent single requests are gathered into engine-shaped
-tiles (flush on max-batch or max-wait, remainders carried over), every
+tiles (sent the moment an engine slot is free, with whatever is
+pending up to max-batch, remainders carried over), every
 request carries a deadline enforced *before* batching, admission is
 bounded with explicit 503 shedding, transient faults retry with
 deterministic backoff, consecutive batch failures open a per-model
@@ -20,7 +21,7 @@ Quickstart::
     from repro.serving import ServerOptions, serve
 
     serve(Session.load("model.artifact"),
-          ServerOptions(port=8707, max_batch=8, max_wait_ms=5))
+          ServerOptions(port=8707, max_batch=8))
 
 or from the shell: ``repro-mcu serve model.artifact``.
 """

@@ -1,10 +1,12 @@
 """Micro-batching core: accumulate single requests into engine-shaped tiles.
 
-The algorithm is the ``InputContainer`` accumulate-until-full pattern:
-requests append to a pending queue; when ``max_batch`` are waiting a
-full tile is emitted and the remainder is *carried over* to seed the
-next tile; when the oldest pending request has waited ``max_wait_s`` the
-partial tile is flushed so light traffic still sees bounded latency.
+The server's batch loop is *work-conserving*: it calls ``take()`` only
+when an engine slot is free, and ``take()`` hands over whatever is
+pending — up to ``max_batch`` requests, the remainder *carried over* to
+seed the next tile.  A lone request at light load therefore goes
+straight to the engine, while under load requests collect behind the
+busy slots and still form full tiles.  There is no batching window to
+wait out.
 
 Deadlines are enforced *here*, before batching: an expired request is
 dropped from the pending queue and never reaches the engine — inference
@@ -54,26 +56,26 @@ class Request:
 class MicroBatcher:
     """Gather requests into tiles of at most ``max_batch``.
 
-    ``max_wait_s`` bounds how long the *oldest* pending request may sit
-    before a partial tile is flushed.  ``take()`` returns
-    ``(batch, expired)`` — expired requests are surfaced so the caller
-    can answer them (504), and are guaranteed never to appear in a
-    batch.
+    ``take()`` returns ``(batch, expired)`` — expired requests are
+    surfaced so the caller can answer them (504), and are guaranteed
+    never to appear in a batch.
     """
 
-    def __init__(self, max_batch: int, max_wait_s: float,
+    def __init__(self, max_batch: int,
                  clock: Callable[[], float] = time.monotonic):
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if max_wait_s < 0:
-            raise ValueError(f"max_wait_s must be >= 0, got {max_wait_s}")
         self.max_batch = int(max_batch)
-        self.max_wait_s = float(max_wait_s)
         self.clock = clock
         self._pending: Deque[Request] = deque()
 
     def __len__(self) -> int:
         return len(self._pending)
+
+    @property
+    def oldest(self) -> Optional[float]:
+        """Enqueue time of the head request (``None`` when empty)."""
+        return self._pending[0].enqueued_at if self._pending else None
 
     def add(self, request: Request) -> None:
         self._pending.append(request)
@@ -88,52 +90,28 @@ class MicroBatcher:
             )
         return expired
 
-    def ready(self, now: Optional[float] = None) -> bool:
-        """Is a tile due — full, or the oldest waiter timed out?"""
-        if len(self._pending) >= self.max_batch:
-            return True
-        if not self._pending:
-            return False
-        now = self.clock() if now is None else now
-        return now - self._pending[0].enqueued_at >= self.max_wait_s
-
-    def next_flush_in(self, now: Optional[float] = None) -> Optional[float]:
-        """Seconds until the pending partial tile must flush (0 when a
-        tile is already due, ``None`` when nothing is pending).  The
-        server sleeps exactly this long between loop wakeups."""
-        if not self._pending:
+    def next_deadline_in(self, now: Optional[float] = None) -> Optional[float]:
+        """Seconds until the earliest pending deadline passes (0 when one
+        already has, ``None`` when no pending request has a deadline).
+        The server wakes this late at the latest to answer it 504."""
+        deadlines = [r.deadline for r in self._pending if r.deadline is not None]
+        if not deadlines:
             return None
-        if len(self._pending) >= self.max_batch:
-            return 0.0
         now = self.clock() if now is None else now
-        due = self._pending[0].enqueued_at + self.max_wait_s
-        for r in self._pending:
-            if r.deadline is not None:
-                due = min(due, r.deadline)
-        return max(0.0, due - now)
+        return max(0.0, min(deadlines) - now)
 
-    def take(self, now: Optional[float] = None,
-             force: bool = False) -> Tuple[List[Request], List[Request]]:
+    def take(self, now: Optional[float] = None
+             ) -> Tuple[List[Request], List[Request]]:
         """Form the next tile: ``(batch, expired)``.
 
-        Expired requests are removed first and can never be batched.  A
-        full tile takes exactly ``max_batch`` requests and *carries the
-        remainder* for the next call; a timed-out partial tile takes
-        everything pending; otherwise the batch is empty.  ``force``
-        flushes a partial tile immediately (shutdown drain).
+        Expired requests are removed first and can never be batched.
+        The tile is everything pending, capped at ``max_batch``; the
+        remainder stays queued, in order, for the next call.
         """
-        now = self.clock() if now is None else now
         expired = self.expire(now)
-        if not self._pending:
-            return [], expired
-        if len(self._pending) >= self.max_batch:
-            batch = [self._pending.popleft() for _ in range(self.max_batch)]
-            return batch, expired
-        if force or now - self._pending[0].enqueued_at >= self.max_wait_s:
-            batch = list(self._pending)
-            self._pending.clear()
-            return batch, expired
-        return [], expired
+        count = min(len(self._pending), self.max_batch)
+        batch = [self._pending.popleft() for _ in range(count)]
+        return batch, expired
 
     def drain(self) -> List[Request]:
         """Remove and return everything pending (shutdown path)."""
@@ -154,10 +132,9 @@ class FleetBatcher:
     server's batch loop drives either without caring which.
     """
 
-    def __init__(self, max_batch: int, max_wait_s: float,
+    def __init__(self, max_batch: int,
                  clock: Callable[[], float] = time.monotonic):
         self.max_batch = int(max_batch)
-        self.max_wait_s = float(max_wait_s)
         self.clock = clock
         self._lanes: "dict[tuple, MicroBatcher]" = {}
 
@@ -176,40 +153,45 @@ class FleetBatcher:
         key = self._key(request)
         lane = self._lanes.get(key)
         if lane is None:
-            lane = self._lanes[key] = MicroBatcher(
-                self.max_batch, self.max_wait_s, clock=self.clock
-            )
+            lane = self._lanes[key] = MicroBatcher(self.max_batch,
+                                                   clock=self.clock)
         lane.add(request)
 
-    def next_flush_in(self, now: Optional[float] = None) -> Optional[float]:
+    def expire(self, now: Optional[float] = None) -> List[Request]:
+        """Expire every lane; lanes left empty are dropped."""
         now = self.clock() if now is None else now
-        delays = [d for d in (lane.next_flush_in(now)
+        expired: List[Request] = []
+        for key in list(self._lanes):
+            lane = self._lanes[key]
+            expired.extend(lane.expire(now))
+            if not len(lane):
+                del self._lanes[key]
+        return expired
+
+    def next_deadline_in(self, now: Optional[float] = None) -> Optional[float]:
+        now = self.clock() if now is None else now
+        delays = [d for d in (lane.next_deadline_in(now)
                               for lane in self._lanes.values())
                   if d is not None]
         return min(delays) if delays else None
 
-    def take(self, now: Optional[float] = None,
-             force: bool = False) -> Tuple[List[Request], List[Request]]:
-        """The next due tile across all lanes: ``(batch, expired)``.
+    def take(self, now: Optional[float] = None
+             ) -> Tuple[List[Request], List[Request]]:
+        """The next tile across all lanes: ``(batch, expired)``.
 
-        Lanes are polled in insertion order; the first lane with a due
-        tile wins this call (the batch loop calls again immediately, so
-        other due lanes are at most one iteration behind).  Expired
-        requests from *every* polled lane are surfaced.  Empty lanes are
-        garbage-collected as they are encountered.
+        Every lane is expired first.  The tile then comes from the lane
+        whose head request is oldest, so a lane that always holds more
+        than ``max_batch`` requests cannot starve the lanes behind it.
         """
         now = self.clock() if now is None else now
-        expired: List[Request] = []
-        batch: List[Request] = []
-        for key in list(self._lanes):
-            lane = self._lanes[key]
-            got, exp = lane.take(now, force=force)
-            expired.extend(exp)
-            if not len(lane):
-                del self._lanes[key]
-            if got:
-                batch = got
-                break
+        expired = self.expire(now)
+        if not self._lanes:
+            return [], expired
+        key = min(self._lanes, key=lambda k: self._lanes[k].oldest)
+        lane = self._lanes[key]
+        batch, _ = lane.take(now)
+        if not len(lane):
+            del self._lanes[key]
         return batch, expired
 
     def drain(self) -> List[Request]:

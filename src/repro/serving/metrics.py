@@ -89,12 +89,16 @@ class DrainTracker:
 class ServerStats:
     """Outcome counters + end-to-end latency for one server instance.
 
+    ``queue_wait`` times each dispatched request from admission to the
+    moment its tile left the batcher for the engine.
+
     One counter per policy outcome, so the chaos suite can assert *which*
     policy handled an injected fault rather than inferring it from logs.
     """
 
     def __init__(self):
         self.latency = LatencyRecorder()
+        self.queue_wait = LatencyRecorder()
         self.completed = 0
         self.malformed = 0
         self.shed_queue = 0
@@ -142,4 +146,5 @@ class ServerStats:
                 "breaker_opens": self.breaker_opens,
             },
             "latency": self.latency.summary(),
+            "queue_wait": self.queue_wait.summary(),
         }

@@ -134,8 +134,10 @@ class ServerOptions:
     """Configuration of the serving front end (one frozen value object,
     mirroring :class:`repro.runtime.options.SessionOptions`).
 
-    ``max_batch`` / ``max_wait_ms``
-        Micro-batcher tile size and partial-tile flush timeout.
+    ``max_batch``
+        Micro-batcher tile size.  Dispatch is work-conserving: a tile
+        leaves the moment an engine slot is free, with whatever is
+        pending up to this size, so there is no batching window.
     ``queue_depth``
         Bound on admitted-but-unanswered requests (pending + in batch);
         beyond it requests are shed with a 503.
@@ -170,7 +172,6 @@ class ServerOptions:
     host: str = "127.0.0.1"
     port: int = 8707
     max_batch: int = 8
-    max_wait_ms: float = 5.0
     queue_depth: int = 64
     default_deadline_ms: float = 1000.0
     batch_timeout_s: float = 30.0
@@ -187,8 +188,8 @@ class ServerOptions:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
         if self.queue_depth < 1:
             raise ValueError(f"queue_depth must be >= 1, got {self.queue_depth}")
-        if self.max_wait_ms < 0 or self.default_deadline_ms < 0:
-            raise ValueError("timeouts must be >= 0")
+        if self.default_deadline_ms < 0:
+            raise ValueError("default_deadline_ms must be >= 0")
         if self.batch_timeout_s <= 0:
             raise ValueError("batch_timeout_s must be > 0")
         if self.workers < 1:

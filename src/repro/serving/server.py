@@ -7,11 +7,13 @@ One process, three moving parts:
   boundary, run admission control (circuit state, bounded queue), and
   park a :class:`~repro.serving.batcher.Request` future;
 * the **batch loop** (one task) drives the
-  :class:`~repro.serving.batcher.MicroBatcher` — expire deadlines
-  *before* batching, flush on full-or-timeout, carry remainders — and
-  hands tiles to the :class:`~repro.serving.engine.BatchEngine`,
-  keeping up to ``engine.concurrency`` tiles in flight at once (one for
-  the in-process backend, N for a ``--workers N`` pool);
+  :class:`~repro.serving.batcher.MicroBatcher` work-conservingly — the
+  moment one of the ``engine.concurrency`` slots is free (one for the
+  in-process backend, N for a ``--workers N`` pool) it expires
+  deadlines, takes everything pending up to ``max_batch`` (carrying the
+  remainder) and hands that tile to the
+  :class:`~repro.serving.engine.BatchEngine`; requests that arrive while
+  every slot is busy collect into the next tile;
 * the **engine** executes with retry and a hung-batch watchdog — on its
   single inference thread, or across a process
   :class:`~repro.runtime.pool.WorkerPool` sharing one mmap'd copy of
@@ -104,11 +106,9 @@ class ServingServer:
         if registry is not None:
             # Tiles must be homogeneous per (model, shape); the fleet
             # batcher keeps one lane per pair.
-            self.batcher = FleetBatcher(self.options.max_batch,
-                                        self.options.max_wait_ms / 1e3)
+            self.batcher = FleetBatcher(self.options.max_batch)
         else:
-            self.batcher = MicroBatcher(self.options.max_batch,
-                                        self.options.max_wait_ms / 1e3)
+            self.batcher = MicroBatcher(self.options.max_batch)
         self._server: Optional[asyncio.base_events.Server] = None
         self._loop_task: Optional[asyncio.Task] = None
         self._wakeup = asyncio.Event()
@@ -239,35 +239,53 @@ class ServingServer:
 
     # -- batch loop ----------------------------------------------------
     async def _batch_loop(self) -> None:
+        """Work-conserving dispatch: whenever an engine slot is free,
+        take everything pending (up to ``max_batch``) and run it.
+
+        While every slot is busy, requests collect in the batcher and
+        form the next tile; the loop wakes on a new request, a finished
+        batch, or the earliest pending deadline, so an expired request
+        is answered 504 at its deadline rather than when a slot frees.
+        """
         while True:
-            # Clear *before* inspecting the batcher: an add() racing with
-            # this iteration either lands before take() (and is seen) or
-            # after the clear (and re-sets the event, waking us at once).
+            # Clear *before* inspecting the batcher: an add() or a batch
+            # completion racing with this iteration either lands before
+            # the inspection (and is seen) or after the clear (and
+            # re-sets the event, waking us at once).
             self._wakeup.clear()
-            now = time.monotonic()
-            batch, expired = self.batcher.take(now)
-            self._fail_expired(expired)
-            if not batch:
-                delay = self.batcher.next_flush_in(now)
-                try:
-                    await asyncio.wait_for(self._wakeup.wait(), timeout=delay)
-                except asyncio.TimeoutError:
-                    pass
-                continue
-            # Dispatch the tile as its own task so up to
-            # engine.concurrency batches execute at once (N pool
-            # workers -> N concurrent tiles); at the limit, wait for a
-            # slot instead of queueing unboundedly.
-            while len(self._batch_tasks) >= self.engine.concurrency:
-                await asyncio.wait(self._batch_tasks,
-                                   return_when=asyncio.FIRST_COMPLETED)
-            task = asyncio.create_task(self._run_batch_task(batch),
-                                       name="repro-batch")
-            self._batch_tasks.add(task)
-            task.add_done_callback(self._batch_tasks.discard)
+            if len(self._batch_tasks) >= self.engine.concurrency:
+                self._fail_expired(self.batcher.expire())
+            else:
+                batch, expired = self.batcher.take()
+                self._fail_expired(expired)
+                if batch:
+                    self._dispatch(batch)
+                    continue
+            try:
+                await asyncio.wait_for(self._wakeup.wait(),
+                                       timeout=self.batcher.next_deadline_in())
+            except asyncio.TimeoutError:
+                pass
+
+    def _dispatch(self, batch: List[Request]) -> None:
+        """Run the tile as its own task, so up to ``engine.concurrency``
+        batches execute at once (N pool workers -> N concurrent tiles)."""
+        now = time.monotonic()
+        for r in batch:
+            self.stats.queue_wait.observe(now - r.enqueued_at)
+        # In flight from here on, so stop() fails the tile even if its
+        # task is cancelled before it starts.
+        self._inflight[id(batch)] = batch
+        task = asyncio.create_task(self._run_batch_task(batch),
+                                   name="repro-batch")
+        self._batch_tasks.add(task)
+        task.add_done_callback(self._batch_done)
+
+    def _batch_done(self, task: asyncio.Task) -> None:
+        self._batch_tasks.discard(task)
+        self._wakeup.set()  # a slot is free
 
     async def _run_batch_task(self, batch: List[Request]) -> None:
-        self._inflight[id(batch)] = batch
         try:
             await self._process_batch(batch)
         except asyncio.CancelledError:

@@ -98,7 +98,7 @@ class TestServerOptions:
     @pytest.mark.parametrize("kwargs", [
         {"max_batch": 0},
         {"queue_depth": 0},
-        {"max_wait_ms": -1},
+        {"workers": 0},
         {"default_deadline_ms": -1},
         {"batch_timeout_s": 0},
     ])

@@ -165,7 +165,7 @@ class TestFleetServer:
             )
             server = ServingServer(
                 registry=registry,
-                options=ServerOptions(port=0, max_wait_ms=2.0),
+                options=ServerOptions(port=0),
                 **(server_kwargs or {}),
             )
             host, port = await server.start()

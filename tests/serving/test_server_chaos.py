@@ -9,6 +9,7 @@ engine, executor thread, watchdog and breaker all run for real.
 """
 
 import asyncio
+import time
 
 import numpy as np
 import pytest
@@ -28,7 +29,6 @@ from repro.serving.policies import BreakerState
 BASE = ServerOptions(
     port=0,
     max_batch=4,
-    max_wait_ms=5.0,
     retry=RetryPolicy(attempts=2, base_delay_s=0.01, max_delay_s=0.05),
     circuit_reset_s=0.3,
 )
@@ -52,6 +52,16 @@ def run_scenario(tiny_session, options, faults, scenario):
     asyncio.run(_main())
 
 
+async def hold_engine(server, host, port, image, wait_until):
+    """Send one request whose batch a one-shot ``slow`` fault holds in
+    the engine, and return its task once that batch is executing:
+    requests sent after this queue behind it."""
+    task = asyncio.create_task(predict(host, port, image, deadline_ms=0))
+    await wait_until(lambda: server.stats.batches >= 1,
+                     desc="the held batch never reached the engine")
+    return task
+
+
 async def alive(host, port, image):
     """The liveness probe every scenario ends with: a normal request
     still gets a normal answer."""
@@ -71,6 +81,17 @@ class TestHappyPath:
             assert server.stats.batched_images == 10
             st, stats = await request_json(host, port, "GET", "/stats")
             assert st == 200 and stats["requests"]["completed"] == 10
+
+        run_scenario(tiny_session, BASE, None, scenario)
+
+    def test_stats_record_queue_wait_per_request(self, tiny_session, image):
+        async def scenario(server, host, port):
+            for _ in range(5):
+                status, _ = await predict(host, port, image)
+                assert status == 200
+            st, stats = await request_json(host, port, "GET", "/stats")
+            assert st == 200 and stats["queue_wait"]["count"] == 5
+            assert 0.0 <= stats["queue_wait"]["p50_ms"] <= stats["latency"]["max_ms"]
 
         run_scenario(tiny_session, BASE, None, scenario)
 
@@ -134,15 +155,23 @@ class TestKernelFaults:
 
 
 class TestPoisonedBatch:
-    def test_degradation_quarantines_only_the_poisoner(self, tiny_session, image):
-        options = BASE.replace(max_wait_ms=30.0,
-                               retry=RetryPolicy(attempts=1, base_delay_s=0.01))
-        faults = FaultInjector([FaultSpec("poison", every=4)])  # 4th admit
+    # A one-shot slow first batch holds the engine while the four
+    # requests queue behind it, so they form one tile deterministically.
+    # The poison fault counts admissions: the held request is the 1st,
+    # so every=4 poisons the third request of the tile.
+    HOLD = FaultSpec("slow", every=1, limit=1, delay=0.5)
+
+    def test_degradation_quarantines_only_the_poisoner(
+            self, tiny_session, image, wait_until):
+        options = BASE.replace(retry=RetryPolicy(attempts=1, base_delay_s=0.01))
+        faults = FaultInjector([self.HOLD, FaultSpec("poison", every=4)])
 
         async def scenario(server, host, port):
+            held = await hold_engine(server, host, port, image, wait_until)
             results = await asyncio.gather(
                 *[predict(host, port, image, deadline_ms=0) for _ in range(4)]
             )
+            assert (await held)[0] == 200
             statuses = sorted(s for s, _ in results)
             assert statuses == [200, 200, 200, 500]
             assert server.stats.degraded_batches == 1
@@ -153,15 +182,17 @@ class TestPoisonedBatch:
 
         run_scenario(tiny_session, options, faults, scenario)
 
-    def test_without_degradation_the_whole_tile_fails(self, tiny_session, image):
-        options = BASE.replace(max_wait_ms=30.0, degrade=False,
-                               retry=RetryPolicy(attempts=0))
-        faults = FaultInjector([FaultSpec("poison", every=4)])
+    def test_without_degradation_the_whole_tile_fails(
+            self, tiny_session, image, wait_until):
+        options = BASE.replace(degrade=False, retry=RetryPolicy(attempts=0))
+        faults = FaultInjector([self.HOLD, FaultSpec("poison", every=4)])
 
         async def scenario(server, host, port):
+            held = await hold_engine(server, host, port, image, wait_until)
             results = await asyncio.gather(
                 *[predict(host, port, image, deadline_ms=0) for _ in range(4)]
             )
+            assert (await held)[0] == 200
             assert [s for s, _ in results] == [500] * 4
             await alive(host, port, image)
 
@@ -266,7 +297,7 @@ class TestDeadlines:
     def test_expired_requests_dropped_before_the_engine(self, tiny_session, image):
         # Batch 1 is slow; everything queued behind it expires and must
         # be answered 504 without ever being batched.
-        options = BASE.replace(max_batch=1, max_wait_ms=0.0)
+        options = BASE.replace(max_batch=1)
         faults = FaultInjector([FaultSpec("slow", every=1, limit=1, delay=0.2)])
 
         async def scenario(server, host, port):
@@ -282,11 +313,51 @@ class TestDeadlines:
 
         run_scenario(tiny_session, options, faults, scenario)
 
+    def test_request_expiring_while_waiting_for_a_slot_is_never_run(
+            self, tiny_session, image, wait_until):
+        # While the held batch runs, no tile may be taken: a request
+        # taken early would sit out its deadline outside the batcher and
+        # then be run (and answered 200) without a second check.
+        options = BASE.replace(max_batch=1)
+        faults = FaultInjector([FaultSpec("slow", every=1, limit=1, delay=0.3)])
+
+        async def scenario(server, host, port):
+            held = await hold_engine(server, host, port, image, wait_until)
+            first = asyncio.create_task(
+                predict(host, port, image, deadline_ms=100))
+            await asyncio.sleep(0.02)
+            second = await predict(host, port, image, deadline_ms=100)
+            assert [(await first)[0], second[0]] == [504, 504]
+            assert (await held)[0] == 200
+            assert server.stats.batched_images == 1
+            assert server.stats.deadline_dropped == 2
+            await alive(host, port, image)
+
+        run_scenario(tiny_session, options, faults, scenario)
+
+    def test_expired_request_is_answered_at_its_deadline(
+            self, tiny_session, image, wait_until):
+        # Every slot is busy for a full second; the queued request's 504
+        # must not wait for the slot to free.
+        faults = FaultInjector([FaultSpec("slow", every=1, limit=1, delay=1.0)])
+
+        async def scenario(server, host, port):
+            held = await hold_engine(server, host, port, image, wait_until)
+            t0 = time.monotonic()
+            status, body = await predict(host, port, image, deadline_ms=100)
+            elapsed = time.monotonic() - t0
+            assert status == 504 and body["error"] == "DeadlineExceededError"
+            assert elapsed < 0.5
+            assert (await held)[0] == 200
+            assert server.stats.batched_images == 1
+
+        run_scenario(tiny_session, BASE, faults, scenario)
+
 
 class TestShutdown:
     def test_pending_requests_fail_fast_on_stop(self, tiny_session, image,
                                                 wait_until):
-        options = BASE.replace(max_batch=1, max_wait_ms=0.0)
+        options = BASE.replace(max_batch=1)
         faults = FaultInjector([FaultSpec("slow", every=1, limit=1, delay=0.3)])
 
         async def scenario():
