@@ -40,7 +40,7 @@ bounded by.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -347,9 +347,15 @@ class ActivationArena:
         A small *fixed-size* int64 buffer the chunked requantization
         tiles the accumulator through (batch-independent).
 
-    ``ensure`` grows capacity monotonically; views are handed out per
-    call, sliced to the live batch, so a smaller batch reuses the same
-    storage.
+    ``ensure`` grows capacity monotonically; views are sliced to the
+    live batch, so a smaller batch reuses the same storage.
+
+    ``steps`` holds the compiled layers' *bound steps* (see
+    :mod:`repro.inference.plan`), keyed by ``(layer, input shape,
+    slot)``.  A bound step keeps views into the slabs, so the dict is
+    cleared whenever the slabs it views are replaced: on growth in
+    ``ensure``, and in a slab-sharing arena whenever the donor's slabs
+    are no longer the ones it adopted.
 
     **Shape polymorphism** (``slabs_from``): an arena may *adopt* the
     slabs of a donor arena planned for a larger (max) geometry instead
@@ -357,7 +363,7 @@ class ActivationArena:
     non-decreasing in the input ``(H, W)`` (``conv_output_size`` is
     monotone, and every pad/cols/acc/requant formula scales with the
     layer element counts), so an arena planned for any geometry at or
-    below the donor's fits inside the donor's slabs; the per-call views
+    below the donor's fits inside the donor's slabs; the bound views
     slice only the prefix they need.  The child keeps its *own* per-layer
     plan list — so Eq. 7 accounting, ``describe`` and the physical-bytes
     checks stay exact for its geometry — while ``ensure`` delegates all
@@ -393,6 +399,7 @@ class ActivationArena:
         self._cols: Optional[np.ndarray] = None
         self._acc: Optional[np.ndarray] = None
         self._requant: Optional[np.ndarray] = None
+        self.steps: Dict[tuple, Callable] = {}
         self._donor = slabs_from
         if slabs_from is not None:
             self._check_fits_donor(slabs_from)
@@ -486,6 +493,10 @@ class ActivationArena:
         n = int(batch_size)
         if self._donor is not None:
             self._donor.ensure(n)
+            # The donor replaces all of its slabs together on growth.
+            if self._pad is self._donor._pad:
+                return
+            self.steps.clear()
             self._codes = list(self._donor._codes)
             self._pad = self._donor._pad
             self._cols = self._donor._cols
@@ -495,6 +506,7 @@ class ActivationArena:
             return
         if n <= self.capacity:
             return
+        self.steps.clear()
         self._codes = [
             np.empty(n * self.code_slot_bytes_per_image[0], dtype=np.uint8),
             np.empty(n * self.code_slot_bytes_per_image[1], dtype=np.uint8),
@@ -518,7 +530,7 @@ class ActivationArena:
             )
         return slab[:nbytes].view(dtype).reshape(shape)
 
-    # -- per-call views ------------------------------------------------
+    # -- slab views (taken when a step is bound) ------------------------
     def codes(self, slot: int, shape: Tuple[int, ...], dtype=np.uint8) -> np.ndarray:
         return self._view(self._codes[slot % 2], dtype, shape)
 

@@ -294,6 +294,63 @@ def depthwise_prefers_stencil(
     return n * c * kh * kw * oh * ow * itemsize > threshold
 
 
+def bind_depthwise_stencil(
+    x_shift: np.ndarray,
+    w_cols: np.ndarray,
+    kh: int,
+    kw: int,
+    stride: int,
+    out: np.ndarray,
+    tmp: np.ndarray | None,
+):
+    """Bind the fused depthwise stencil to fixed buffers.
+
+    Every strided tap window, per-channel tap weight and out/tmp block
+    is sliced here, once; the returned no-argument callable only runs
+    the multiply-adds, rewriting ``out`` from the current contents of
+    ``x_shift``.  Arguments as in :func:`depthwise_stencil_accumulate`
+    (``tmp`` may be None only for a single-tap kernel).
+    """
+    n, c, hp, wp = x_shift.shape
+    oh = (hp - kh) // stride + 1
+    ow = (wp - kw) // stride + 1
+    itemsize = x_shift.dtype.itemsize
+    per_channel = 3 * oh * ow * itemsize
+    c_block = max(1, DW_STENCIL_BLOCK_BYTES // max(per_channel, 1))
+    if c_block >= c:
+        # Whole channel ranges fit the target: block over the batch.
+        c_block = c
+        n_block = max(1, DW_STENCIL_BLOCK_BYTES // max(per_channel * c, 1))
+    else:
+        n_block = 1
+    # (window, tap weight, product buffer, block to add it into or None)
+    taps = []
+    for b0 in range(0, n, n_block):
+        b1 = min(b0 + n_block, n)
+        for c0 in range(0, c, c_block):
+            c1 = min(c0 + c_block, c)
+            x_b = x_shift[b0:b1, c0:c1]
+            out_b = out[b0:b1, c0:c1]
+            for idx in range(kh * kw):
+                i, j = divmod(idx, kw)
+                window = x_b[:, :, i:i + stride * (oh - 1) + 1:stride,
+                             j:j + stride * (ow - 1) + 1:stride]
+                tap = w_cols[c0:c1, idx].reshape(1, c1 - c0, 1, 1)
+                if idx == 0:
+                    taps.append((window, tap, out_b, None))
+                else:
+                    taps.append((window, tap, tmp[b0:b1, c0:c1], out_b))
+
+    # hot
+    def run_taps() -> None:
+        for window, tap, dst, total in taps:
+            np.multiply(window, tap, out=dst)
+            if total is not None:
+                total += dst
+
+    return run_taps
+
+
 # hot
 def depthwise_stencil_accumulate(
     x_shift: np.ndarray,
@@ -325,6 +382,8 @@ def depthwise_stencil_accumulate(
 
     ``out`` and ``tmp`` are optional preallocated ``(N, C, OH, OW)``
     buffers (activation-arena slabs); ``out`` must not alias ``x_shift``.
+    The compiled plan binds the stencil once per shape instead
+    (:func:`bind_depthwise_stencil`).
     """
     n, c, hp, wp = x_shift.shape
     oh = (hp - kh) // stride + 1
@@ -333,34 +392,7 @@ def depthwise_stencil_accumulate(
         out = np.empty((n, c, oh, ow), dtype=x_shift.dtype)  # analysis: ignore[hot-alloc] — arena-less fallback
     if tmp is None and kh * kw > 1:
         tmp = np.empty((n, c, oh, ow), dtype=x_shift.dtype)  # analysis: ignore[hot-alloc] — arena-less fallback
-    itemsize = x_shift.dtype.itemsize
-    per_channel = 3 * oh * ow * itemsize
-    c_block = max(1, DW_STENCIL_BLOCK_BYTES // max(per_channel, 1))
-    if c_block >= c:
-        # Whole channel ranges fit the target: block over the batch.
-        c_block = c
-        n_block = max(1, DW_STENCIL_BLOCK_BYTES // max(per_channel * c, 1))
-    else:
-        n_block = 1
-    i_stops = [
-        (i, j, i + stride * (oh - 1) + 1, j + stride * (ow - 1) + 1)
-        for i, j in (divmod(idx, kw) for idx in range(kh * kw))
-    ]
-    for b0 in range(0, n, n_block):
-        b1 = min(b0 + n_block, n)
-        for c0 in range(0, c, c_block):
-            c1 = min(c0 + c_block, c)
-            x_b = x_shift[b0:b1, c0:c1]
-            out_b = out[b0:b1, c0:c1]
-            tmp_b = None if tmp is None else tmp[b0:b1, c0:c1]
-            for idx, (i, j, i_stop, j_stop) in enumerate(i_stops):
-                window = x_b[:, :, i:i_stop:stride, j:j_stop:stride]
-                tap = w_cols[c0:c1, idx].reshape(1, c1 - c0, 1, 1)
-                if idx == 0:
-                    np.multiply(window, tap, out=out_b)
-                else:
-                    np.multiply(window, tap, out=tmp_b)
-                    out_b += tmp_b
+    bind_depthwise_stencil(x_shift, w_cols, kh, kw, stride, out, tmp)()
     return out
 
 

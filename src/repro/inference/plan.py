@@ -34,6 +34,17 @@ per-inference path:
   steady-state inference performs no per-layer allocations and peak host
   activation memory equals the compile-time plan.
 
+Execution runs off a **layer tape**.  Each :class:`CompiledConvLayer`
+is bound once per ``(arena slabs, input shape, code slot)`` into a step
+(:meth:`CompiledConvLayer.bind`) that holds every view it needs: the
+pad slab and its interior, the ``as_strided`` im2col window over the pad
+slab and the cols view it is copied into, the accumulator and the
+container-width output, the requantization chunks, and the depthwise
+stencil-or-im2col decision for that shape.  Steps live in
+``arena.steps``; calling the layer looks its step up and runs it, so a
+warm run builds no views and spends its time in kernels.  The arena
+clears the steps whenever it replaces the slabs they view.
+
 The plan executes bit-identically to ``IntegerNetwork.forward`` — the
 tests assert equality against the int64 einsum reference — and
 ``run_batched`` streams large evaluation sweeps through the arena in
@@ -43,7 +54,9 @@ memory stays bounded by one tile regardless of the sweep size.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -62,9 +75,9 @@ from repro.inference.arena import (
 from repro.inference.kernels import (
     FLOAT32_EXACT_BITS,
     INT32_EXACT_BITS,
+    bind_depthwise_stencil,
     check_codes,
     depthwise_prefers_stencil,
-    depthwise_stencil_accumulate,
     exact_gemm_dtype_for_bound,
     gemm_reduction_length,
     int_avg_pool_global,
@@ -75,7 +88,7 @@ from repro.inference.kernels import (
     shift_weights,
 )
 from repro.inference.packing import container_dtype
-from repro.nn.functional import conv_output_size, im2col
+from repro.nn.functional import conv_output_size, unfold_window
 
 _INT64 = np.dtype(np.int64)
 
@@ -162,6 +175,31 @@ def _resolve_compiled_backend(backend: str, bound: int, k: int,
 # ----------------------------------------------------------------------
 # Compiled requantization (bit-identical to repro.core.icn on (N, C, L))
 # ----------------------------------------------------------------------
+def _requant_chunks(acc: np.ndarray, out: np.ndarray, scratch: np.ndarray):
+    """``(acc chunk, int64 scratch, out chunk)`` triples covering ``acc``.
+
+    Chunks hold as many whole images as fit the scratch; an image
+    larger than the scratch is split along L into column blocks
+    (never narrower than one (C, 1) column, so the per-channel
+    constants broadcast).
+    """
+    n, c, l = acc.shape
+    if c * l <= scratch.size:
+        nb = scratch.size // (c * l)
+        return [
+            (acc[b0:b0 + nb], scratch[: min(nb, n - b0) * c * l].reshape(-1, c, l),
+             out[b0:b0 + nb])
+            for b0 in range(0, n, nb)
+        ]
+    lc = max(1, scratch.size // max(c, 1))
+    return [
+        (acc[b:b + 1, :, l0:l0 + lc],
+         scratch[: c * (min(l0 + lc, l) - l0)].reshape(1, c, -1),
+         out[b:b + 1, :, l0:l0 + lc])
+        for b in range(n) for l0 in range(0, l, lc)
+    ]
+
+
 class _CompiledFixedPointRequant:
     """Eq. 5 with constants pre-broadcast for the (N, C, L) accumulator.
 
@@ -171,12 +209,12 @@ class _CompiledFixedPointRequant:
     floor division by ``2^pos``, which over int64 equals an arithmetic
     right shift — several times faster than ``floor_divide``.
 
-    ``store(phi, out, scratch)`` tiles the accumulator
-    (float32/float64/int32/int64) through the small int64 ``scratch`` in
-    cache-resident chunks — Eq. 5's Q31 multiply needs 64-bit
-    intermediates — and stores each requantized chunk straight into the
-    container-width ``out`` codes, so no full-size int64 copy of the
-    layer output ever touches memory.
+    ``bind(acc, out, scratch)`` returns the layer's requant step: it
+    tiles the accumulator (float32/float64/int32/int64) through the
+    small int64 ``scratch`` in cache-resident chunks — Eq. 5's Q31
+    multiply needs 64-bit intermediates — and stores each requantized
+    chunk straight into the container-width ``out`` codes, so no
+    full-size int64 copy of the layer output ever touches memory.
     """
 
     kind = "fixed"
@@ -192,28 +230,38 @@ class _CompiledFixedPointRequant:
         self.z_y = int(z_y)
         self.qmax = 2 ** out_bits - 1
 
-    # hot
-    def _steps(self, phi: np.ndarray) -> np.ndarray:
-        phi += self.bq
-        phi *= self.m0
-        np.right_shift(phi, self.rshift, out=phi)
-        np.left_shift(phi, self.lshift, out=phi)
-        phi += self.z_y
-        np.clip(phi, 0, self.qmax, out=phi)
-        return phi
+    def bind(self, acc: np.ndarray, out: np.ndarray, scratch: np.ndarray):
+        """Requant step over fixed ``acc``/``out`` views (both (N, C, L)).
 
-    # hot
-    def store(self, phi: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-        n, c, l = phi.shape
-        lc = max(1, min(l, scratch.size // max(c, 1)))
-        for b in range(n):
-            for l0 in range(0, l, lc):
-                l1 = min(l0 + lc, l)
-                s = scratch[: c * (l1 - l0)].reshape(1, c, l1 - l0)
-                np.copyto(s, phi[b:b + 1, :, l0:l1], casting="unsafe")
-                self._steps(s)
-                np.copyto(out[b:b + 1, :, l0:l1], s, casting="unsafe")
-        return out
+        Per chunk: widen with the bias add, Q31 multiply, shift, clamp
+        to ``[-z_y, qmax - z_y]`` and add ``z_y`` while narrowing into
+        the codes — ``clip(v + z, 0, q) == clip(v, -z, q - z) + z`` for
+        integers, so the codes are those of Eq. 5.  The widening cast is
+        exact: every accumulator value is an integer below the layer's
+        verified bound (``< 2^24`` in float32, ``< 2^53`` in float64).
+        """
+        chunks = _requant_chunks(acc, out, scratch)
+        bq, m0, rshift = self.bq, self.m0, self.rshift
+        # Left shifts exist only for n0 > 31 multipliers; skip the pass
+        # entirely when no channel has one.
+        lshift = self.lshift if np.any(self.lshift) else None
+        z_y = np.int64(self.z_y)
+        lo, hi = np.int64(-self.z_y), np.int64(self.qmax - self.z_y)
+
+        # hot
+        def requant() -> None:
+            for a, s, o in chunks:
+                np.add(a, bq, out=s, dtype=_INT64, casting="unsafe")
+                s *= m0
+                np.right_shift(s, rshift, out=s)
+                if lshift is not None:
+                    np.left_shift(s, lshift, out=s)
+                # np.clip's Python wrapper costs ~3x this ufunc pair.
+                np.maximum(s, lo, out=s)
+                np.minimum(s, hi, out=s)
+                np.add(s, z_y, out=o, casting="unsafe")
+
+        return requant
 
 
 def _compile_icn_requant(params: ICNParams) -> _CompiledFixedPointRequant:
@@ -240,9 +288,9 @@ def _compile_folded_requant(params: FoldedBNParams) -> _CompiledFixedPointRequan
 class _CompiledThresholdRequant:
     """Per-channel threshold tables pre-sliced/pre-reversed for searchsorted.
 
-    ``store`` consumes the accumulator one image at a time through the
-    int64 scratch — ``searchsorted`` compares in the integer domain — and
-    writes the clipped levels into the container-width code slab.
+    The bound step consumes the accumulator one image at a time through
+    the int64 scratch — ``searchsorted`` compares in the integer domain
+    — and writes the clipped levels into the container-width code slab.
     """
 
     kind = "thr"
@@ -264,17 +312,25 @@ class _CompiledThresholdRequant:
             y = self.levels - 1 - np.searchsorted(table, vals, side="left")
         return y
 
-    # hot
-    def store(self, phi: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-        n, c, l = phi.shape
-        for b in range(n):
-            s = scratch[: c * l].reshape(c, l)
-            np.copyto(s, phi[b], casting="unsafe")
-            for ch, (table, direction) in enumerate(self.tables):
-                y = self._levels_for(s[ch], table, direction)
-                np.clip(y, 0, self.levels - 1, out=y)
-                np.copyto(out[b, ch], y, casting="unsafe")
-        return out
+    def bind(self, acc: np.ndarray, out: np.ndarray, scratch: np.ndarray):
+        """Requant step over fixed ``acc``/``out`` views (both (N, C, L))."""
+        n, c, l = acc.shape
+        s = scratch[: c * l].reshape(c, l)
+        rows = [(s[ch], table, direction) for ch, (table, direction)
+                in enumerate(self.tables)]
+        images = [(acc[b], list(out[b])) for b in range(n)]
+        levels_for, top = self._levels_for, self.levels - 1
+
+        # hot
+        def requant() -> None:
+            for a, o_rows in images:
+                np.copyto(s, a, casting="unsafe")
+                for (s_row, table, direction), o_row in zip(rows, o_rows):
+                    y = levels_for(s_row, table, direction)
+                    np.clip(y, 0, top, out=y)
+                    np.copyto(o_row, y, casting="unsafe")
+
+        return requant
 
 
 def _compile_requant(params):
@@ -300,15 +356,18 @@ class CompiledConvLayer:
 
     ``fused_depthwise`` (depthwise only) selects the im2col-free stencil
     path: ``True`` forces it, ``False`` forces the unfold+matmul path,
-    and ``"auto"`` (default) picks per call — stencil exactly when the
-    batch's im2col column tensor would blow the cache threshold and turn
-    the layer memory-bound (:func:`~repro.inference.kernels.depthwise_prefers_stencil`).
+    and ``"auto"`` (default) picks per input shape — stencil exactly
+    when the batch's im2col column tensor would blow the cache threshold
+    and turn the layer memory-bound
+    (:func:`~repro.inference.kernels.depthwise_prefers_stencil`).
 
     The output codes are stored at container width (uint8 for <=8-bit
     activations), requantized through the arena's chunked scratch.  The
     layer computes entirely inside the
     :class:`~repro.inference.arena.ActivationArena`'s preallocated slab
-    views and returns a view into its code slot ``slot``.
+    views and returns a view into its code slot ``slot``.  Calling the
+    layer runs its *bound step* for ``(arena, input shape, slot)``,
+    built by :meth:`bind` on first use and kept in ``arena.steps``.
     """
 
     def __init__(self, layer, backend: str = "auto", validate: bool = True,
@@ -396,97 +455,114 @@ class CompiledConvLayer:
         self.requant = _compile_requant(p)
         self.requant_kind = self.requant.kind
 
-    def _accumulate_int(self, cols: np.ndarray, out=None) -> np.ndarray:
-        """Integer einsum contraction (int64 reference / forced int32)."""
-        if self.kind == "dw":
-            return np.einsum("ck,nckl->ncl", self.w2, cols, optimize=True, out=out)
-        return int_einsum_gemm(self.w2, cols, out=out)
-
-    # hot
-    def _shift_pad(self, x_codes: np.ndarray, dtype, arena: ActivationArena) -> np.ndarray:
-        """Zero-point shift and zero-pad into the arena's pad slab.
-
-        Writing ``x - Z_x`` straight into the interior of the padded
-        buffer fuses what the interpreted path does in two full-tensor
-        passes (``subtract`` then ``np.pad``).  The subtraction loop is
-        pinned to the GEMM dtype so narrow (uint8) input containers are
-        widened on the fly, never wrapped.
-        """
-        p = self.padding
-        n, c, h, w = x_codes.shape
-        if p == 0:
-            out = arena.pad(dtype, (n, c, h, w))
-            return np.subtract(x_codes, self.z_x, out=out, dtype=dtype)
-        out = arena.pad(dtype, (n, c, h + 2 * p, w + 2 * p))
-        out.fill(0)
-        np.subtract(x_codes, self.z_x, out=out[:, :, p:-p, p:-p], dtype=dtype)
-        return out
-
-    # hot
-    def _unfold(self, x_shift: np.ndarray, arena: ActivationArena, n: int,
-                l_out: int) -> np.ndarray:
-        """im2col columns — a pure view for 1x1/s1, an arena slab otherwise."""
-        if self.kh == 1 and self.kw == 1 and self.stride == 1:
-            return x_shift.reshape(n, self.in_channels, l_out)
-        shape = (n, self.in_channels * self.kh * self.kw, l_out)
-        return im2col(x_shift, self.kh, self.kw, self.stride, 0,
-                      out=arena.cols(x_shift.dtype, shape))
-
     # hot
     def __call__(self, x_codes: np.ndarray, arena: ActivationArena,
                  slot: int = 0) -> np.ndarray:
-        n, c, h, w = x_codes.shape
-        oh = conv_output_size(h, self.kh, self.stride, self.padding)
-        ow = conv_output_size(w, self.kw, self.stride, self.padding)
+        key = (self, x_codes.shape, slot)
+        step = arena.steps.get(key)
+        if step is None:
+            step = arena.steps[key] = self.bind(arena, x_codes.shape, slot)
+        return step(x_codes)
+
+    def bind(self, arena: ActivationArena, shape: Tuple[int, ...], slot: int):
+        """Build this layer's step for one input ``shape`` and code slot.
+
+        Every arena view the layer touches — the pad slab and its
+        interior, the im2col window over the pad slab and the cols view
+        it is copied into, the accumulator, the container-width output,
+        the requant chunks — is taken here, once, together with the
+        depthwise dispatch decision for this shape.  The returned
+        ``step(x_codes)`` only runs kernels and returns the output
+        codes ``(N, C_out, OH, OW)``, a view into code slot ``slot``.
+        The views stay valid until the arena replaces its slabs (which
+        clears ``arena.steps``).
+        """
+        n, c, h, w = shape
+        p, stride, kh, kw = self.padding, self.stride, self.kh, self.kw
+        oh = conv_output_size(h, kh, stride, p)
+        ow = conv_output_size(w, kw, stride, p)
         l_out = oh * ow
         out_shape = (n, self.out_channels, l_out)
+        dtype = self.gemm_dtype
+        pad = arena.pad(dtype, (n, c, h + 2 * p, w + 2 * p))
+        interior = pad[:, :, p:p + h, p:p + w]
         fused = self.kind == "dw" and (
             self.dw_mode == "always"
             or (self.dw_mode == "auto" and depthwise_prefers_stencil(
-                n, c, self.kh, self.kw, oh, ow, self.gemm_itemsize,
-                stride=self.stride))
+                n, c, kh, kw, oh, ow, self.gemm_itemsize, stride=stride))
         )
-        x_shift = self._shift_pad(x_codes, self.gemm_dtype, arena)
+        window = cols6 = None
         if fused:
             # Per-tap strided stencil; the cols slab serves as the tap
             # temporary (it is never used for columns on this path).
-            acc = arena.acc(self.gemm_dtype, (n, c, oh, ow))
-            tmp = (arena.cols(self.gemm_dtype, (n, c, oh, ow))
-                   if self.k_reduction > 1 else None)
-            phi = depthwise_stencil_accumulate(
-                x_shift, self.w_cols, self.kh, self.kw, self.stride, out=acc, tmp=tmp
-            ).reshape(n, c, l_out)
-        elif self.backend == "blas":
-            cols = self._unfold(x_shift, arena, n, l_out)
+            acc = arena.acc(dtype, (n, c, oh, ow))
+            tmp = arena.cols(dtype, (n, c, oh, ow)) if self.k_reduction > 1 else None
+            gemm = bind_depthwise_stencil(pad, self.w_cols, kh, kw, stride, acc, tmp)
+            phi = acc.reshape(out_shape)
+        else:
+            if kh == 1 and kw == 1 and stride == 1:
+                cols = pad.reshape(n, c, l_out)  # 1x1/s1 im2col is a pure view
+            else:
+                cols = arena.cols(dtype, (n, c * kh * kw, l_out))
+                window = unfold_window(pad, kh, kw, stride)
+                cols6 = cols.reshape(n, c, kh, kw, oh, ow)
             if self.split_k is not None:
-                # Chunked sgemm over the K-partition, each chunk exact in
-                # float32, summed exactly in the float64 accumulator.
-                acc = arena.acc(np.float64, out_shape)
-                tmp = arena.cols(self.gemm_dtype, out_shape)
-                (k0, k1), *rest = self.split_k
-                np.matmul(self.w2_chunks[0], cols[:, k0:k1, :], out=tmp)
-                np.copyto(acc, tmp)
-                for (k0, k1), w2c in zip(rest, self.w2_chunks[1:]):
-                    np.matmul(w2c, cols[:, k0:k1, :], out=tmp)
-                    acc += tmp
-                phi = acc
+                gemm, phi = self._bind_split_k(arena, cols, out_shape)
             elif self.kind == "dw":
                 cols = cols.reshape(n, c, self.k_reduction, l_out)
-                acc = arena.acc(self.gemm_dtype, (n, c, 1, l_out))
-                phi = np.matmul(self.w2, cols, out=acc).reshape(n, c, l_out)
+                if self.backend == "blas":
+                    acc = arena.acc(dtype, (n, c, 1, l_out))
+                    gemm = partial(np.matmul, self.w2, cols, out=acc)
+                else:
+                    acc = arena.acc(dtype, out_shape)
+                    gemm = partial(np.einsum, "ck,nckl->ncl", self.w2, cols,
+                                   optimize=True, out=acc)
+                phi = acc.reshape(out_shape)
             else:
-                phi = np.matmul(self.w2, cols, out=arena.acc(self.gemm_dtype, out_shape))
-        else:
-            cols = self._unfold(x_shift, arena, n, l_out)
-            if self.kind == "dw":
-                cols = cols.reshape(n, c, self.k_reduction, l_out)
-            phi = self._accumulate_int(cols, out=arena.acc(self.gemm_dtype, out_shape))
-        # Chunked requantization: accumulator -> int64 scratch tiles ->
-        # container-width codes.  Exact: every accumulator value is an
-        # integer below the layer's accumulator bound by construction.
-        out = arena.codes(slot, out_shape, self.out_dtype)
-        self.requant.store(phi.reshape(out_shape), out, arena.requant_scratch())
-        return out.reshape(n, self.out_channels, oh, ow)
+                phi = arena.acc(dtype, out_shape)
+                if self.backend == "blas":
+                    gemm = partial(np.matmul, self.w2, cols, out=phi)
+                else:
+                    gemm = partial(int_einsum_gemm, self.w2, cols, out=phi)
+        codes = arena.codes(slot, out_shape, self.out_dtype)
+        requant = self.requant.bind(phi, codes, arena.requant_scratch())
+        result = codes.reshape(n, self.out_channels, oh, ow)
+        z_x = self.z_x
+
+        # hot
+        def step(x_codes: np.ndarray) -> np.ndarray:
+            if p:
+                pad.fill(0)
+            # x - Z_x straight into the pad interior, the subtraction
+            # pinned to the GEMM dtype so uint8 containers widen on the fly.
+            np.subtract(x_codes, z_x, out=interior, dtype=dtype)
+            if window is not None:
+                np.copyto(cols6, window)
+            gemm()
+            requant()
+            return result
+
+        return step
+
+    def _bind_split_k(self, arena: ActivationArena, cols: np.ndarray,
+                      out_shape: Tuple[int, int, int]):
+        """Chunked sgemm over the K-partition, each chunk exact in
+        float32, summed exactly in the float64 accumulator."""
+        acc = arena.acc(np.float64, out_shape)
+        tmp = arena.cols(self.gemm_dtype, out_shape)
+        (w_first, c_first), *rest = [
+            (w2c, cols[:, k0:k1, :]) for (k0, k1), w2c in zip(self.split_k, self.w2_chunks)
+        ]
+
+        # hot
+        def gemm() -> None:
+            np.matmul(w_first, c_first, out=tmp)
+            np.copyto(acc, tmp)
+            for w2c, chunk in rest:
+                np.matmul(w2c, chunk, out=tmp)
+                np.add(acc, tmp, out=acc)
+
+        return gemm, acc
 
 
 class CompiledLinear:
@@ -571,7 +647,7 @@ class ExecutionPlan:
     :class:`~repro.inference.arena.ActivationArena` holding codes at
     container width (planned lazily per input geometry, or eagerly when
     ``options.input_hw`` is given).  ``options.fused_depthwise`` selects
-    the stencil depthwise kernel: ``"auto"`` (default) per-call by the
+    the stencil depthwise kernel: ``"auto"`` (default) per input shape by the
     cache-threshold rule, ``True`` always, ``False`` never.
     """
 
@@ -676,9 +752,23 @@ class ExecutionPlan:
         self._arenas[key] = arena
         return arena
 
+    def unbind(self) -> None:
+        """Drop every arena's bound layer steps.
+
+        Steps reference the plan's weight and requantization arrays,
+        which may be views of an mmap'd artifact; ``Session.close``
+        calls this so an arena still referenced elsewhere cannot keep
+        the mapping pinned.  The next run binds afresh."""
+        for arena in self._arenas.values():
+            arena.steps.clear()
+
     # -- execution -----------------------------------------------------
-    def _trunk(self, x_codes: np.ndarray) -> Tuple[np.ndarray, bool]:
-        """Run the conv trunk; returns (codes, codes_are_an_arena_view)."""
+    def _trunk(self, x_codes: np.ndarray,
+               layer_seconds: Optional[List[float]] = None) -> Tuple[np.ndarray, bool]:
+        """Run the conv trunk; returns (codes, codes_are_an_arena_view).
+
+        With ``layer_seconds`` (what :meth:`Session.profile` passes) the
+        wall time of every layer call is appended to it."""
         if not self.layers:
             return x_codes, False
         n, c, h, w = x_codes.shape
@@ -687,8 +777,14 @@ class ExecutionPlan:
             return np.empty((0,) + shape, dtype=self.layers[-1].out_dtype), False
         arena = self.arena_for((h, w))
         arena.ensure(n)
-        for i, layer in enumerate(self.layers):
-            x_codes = layer(x_codes, arena, i % 2)
+        if layer_seconds is None:
+            for i, layer in enumerate(self.layers):
+                x_codes = layer(x_codes, arena, i % 2)
+        else:
+            for i, layer in enumerate(self.layers):
+                t0 = time.perf_counter()
+                x_codes = layer(x_codes, arena, i % 2)
+                layer_seconds.append(time.perf_counter() - t0)
         return x_codes, True
 
     def run_codes(self, x_codes: np.ndarray, validate: Optional[bool] = None) -> np.ndarray:

@@ -23,6 +23,25 @@ def conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:
     return (size + 2 * pad - kernel) // stride + 1
 
 
+def unfold_window(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """Read-only strided view ``(N, C, kh, kw, OH, OW)`` of the sliding
+    windows of an already padded ``x`` (N, C, H, W) — no copy.
+
+    Element ``[n, c, i, j, y, x]`` is ``x[n, c, y * stride + i, x * stride + j]``;
+    copying the view into a ``(N, C, kh, kw, OH, OW)`` buffer is im2col.
+    """
+    n, c, h, w = x.shape
+    oh = conv_output_size(h, kh, stride, 0)
+    ow = conv_output_size(w, kw, stride, 0)
+    s0, s1, s2, s3 = x.strides
+    return np.lib.stride_tricks.as_strided(
+        x,
+        shape=(n, c, kh, kw, oh, ow),
+        strides=(s0, s1, s2, s3, s2 * stride, s3 * stride),
+        writeable=False,
+    )
+
+
 def im2col(
     x: np.ndarray,
     kh: int,
@@ -50,14 +69,7 @@ def im2col(
     ow = conv_output_size(w, kw, stride, pad)
     if pad > 0:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="constant")
-    # Strided view: (N, C, kh, kw, OH, OW)
-    s0, s1, s2, s3 = x.strides
-    view = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, kh, kw, oh, ow),
-        strides=(s0, s1, s2, s3, s2 * stride, s3 * stride),
-        writeable=False,
-    )
+    view = unfold_window(x, kh, kw, stride)
     if out is not None:
         if out.shape != (n, c * kh * kw, oh * ow):
             raise ValueError(

@@ -26,7 +26,8 @@ from repro.runtime.options import CompileOptions, SessionOptions
 
 @dataclass
 class LayerTiming:
-    """Best-of-N wall time of one compiled layer inside the arena."""
+    """Wall time of one stage (a compiled layer, the input quantizer,
+    the pool, the classifier or the glue between them) in one pass."""
 
     name: str
     kind: str
@@ -36,40 +37,45 @@ class LayerTiming:
 
 @dataclass
 class SessionProfile:
-    """Per-layer latency breakdown returned by :meth:`Session.profile`."""
+    """Per-layer latency breakdown returned by :meth:`Session.profile`.
+
+    ``layers`` holds the compiled layers, pool and classifier;
+    ``quantize_seconds`` the input quantizer and ``glue_seconds`` the
+    rest of the pass (arena lookup, loop overhead).  All come from the
+    same timed pass, so :meth:`rows` sums to ``total_seconds``.
+    """
 
     batch_size: int
     input_hw: Tuple[int, int]
     layers: List[LayerTiming] = field(default_factory=list)
     total_seconds: float = 0.0
+    quantize_seconds: float = 0.0
+    glue_seconds: float = 0.0
+
+    def rows(self) -> List[LayerTiming]:
+        """Every stage of the pass, in order, the glue row last."""
+        return [
+            LayerTiming("quantize_input", "input", "-", self.quantize_seconds),
+            *self.layers,
+            LayerTiming("glue", "glue", "-", self.glue_seconds),
+        ]
 
     def table(self) -> str:
         from repro.evaluation.tables import render_table
 
+        total = self.total_seconds
         rows = [
             [t.name, t.kind, t.dispatch, round(t.seconds * 1e3, 3),
-             round(100.0 * t.seconds / self.total_seconds, 1)
-             if self.total_seconds else 0.0]
-            for t in self.layers
+             round(100.0 * t.seconds / total, 1) if total else 0.0]
+            for t in self.rows()
         ]
-        layer_sum = sum(t.seconds for t in self.layers)
-        rows.append(["TOTAL (end to end)", "", "", round(self.total_seconds * 1e3, 3),
-                     round(100.0 * layer_sum / self.total_seconds, 1)
-                     if self.total_seconds else 0.0])
+        rows.append(["TOTAL (end to end)", "", "", round(total * 1e3, 3),
+                     100.0 if total else 0.0])
         h, w = self.input_hw
         return render_table(
             ["Layer", "Kind", "Dispatch", "ms", "% of e2e"], rows,
             title=f"session profile — batch {self.batch_size} @ {h}x{w}",
         )
-
-
-def _best_of(fn, reps: int) -> float:
-    best = float("inf")
-    for _ in range(max(1, reps)):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
 
 
 class Session:
@@ -127,8 +133,10 @@ class Session:
             return
         self._closed = True
         # Order matters: every mmap-backed array (network weights,
-        # compiled requant-parameter views) must be unreachable before
-        # the mapping can release its exported buffers.
+        # compiled requant-parameter views, the bound layer steps that
+        # hold them) must be unreachable before the mapping can release
+        # its exported buffers.
+        self._plan.unbind()
         self._plan = None
         self.network = None
         blobs, self.mapped_blobs = self.mapped_blobs, None
@@ -328,15 +336,18 @@ class Session:
     def profile(self, x_real: Optional[np.ndarray] = None,
                 batch_size: Optional[int] = None, repeats: int = 3,
                 rng_seed: int = 0) -> SessionProfile:
-        """Best-of-``repeats`` per-layer latency breakdown.
+        """Per-layer latency breakdown of full inference passes.
 
         With no input, a synthetic batch is drawn at the session's arena
         geometry (``options.input_hw`` falling back to the compile-time
-        geometry); layer timings run inside the arena on propagated
-        intermediate codes, exactly like steady-state serving.  Each
-        layer's input is an owned copy of its predecessor's output view,
-        so re-running a layer never reads a slab it is writing.
+        geometry).  Each of ``repeats`` passes runs the plan end to end —
+        quantize, every layer's bound step in the arena, pool,
+        classifier — timing each stage where it runs; the fastest pass
+        is reported, its unattributed remainder as the glue row, so the
+        rows sum to ``total_seconds``.
         """
+        from repro.inference.kernels import int_avg_pool_global
+
         plan = self._plan
         if x_real is None:
             x_real = self.synthetic_batch(
@@ -344,32 +355,46 @@ class Session:
             )
         x_real = np.asarray(x_real)
         n, _, h, w = x_real.shape
-        prof = SessionProfile(batch_size=n, input_hw=(h, w))
-        prof.total_seconds = _best_of(lambda: plan.run(x_real), repeats)
-        codes = plan.quantize_input(x_real)
-        arena = plan.arena_for((h, w))
-        arena.ensure(n)
-        infos = {i.name: i for i in plan.layer_info()}
-        for i, layer in enumerate(plan.layers):
-            info = infos[layer.name]
+        # (name, kind, dispatch) of every stage the pass times after the
+        # input quantizer, in execution order.
+        stages = []
+        for layer, info in zip(plan.layers, plan.layer_info()):
             dispatch = f"{info.backend}/{info.gemm_dtype}->{info.container}"
             if info.dw_mode:
                 dispatch += f" dw:{info.dw_mode}"
-            t = _best_of(lambda: layer(codes, arena, i % 2), repeats)
-            prof.layers.append(LayerTiming(layer.name, layer.kind, dispatch, t))
-            codes = layer(codes, arena, i % 2).copy()
+            stages.append((layer.name, layer.kind, dispatch))
         if plan.has_pool:
-            from repro.inference.kernels import int_avg_pool_global
-
-            t = _best_of(lambda: int_avg_pool_global(codes), repeats)
-            prof.layers.append(LayerTiming("global_avg_pool", "pool", "-", t))
-            codes = int_avg_pool_global(codes)
+            stages.append(("global_avg_pool", "pool", "-"))
         if plan.classifier is not None:
             c = plan.classifier
-            t = _best_of(lambda: c(codes), repeats)
-            dispatch = f"{c.backend}/{np.dtype(c.gemm_dtype).name}->logits"
-            prof.layers.append(LayerTiming(c.name, "fc", dispatch, t))
-        return prof
+            stages.append((c.name, "fc",
+                           f"{c.backend}/{np.dtype(c.gemm_dtype).name}->logits"))
+        best: Optional[SessionProfile] = None
+        for _ in range(max(1, repeats)):
+            layer_s: List[float] = []
+            t0 = time.perf_counter()
+            codes = plan.quantize_input(x_real)
+            t_quant = time.perf_counter()
+            codes, _ = plan._trunk(codes, layer_s)
+            if plan.has_pool:
+                t_pool = time.perf_counter()
+                codes = int_avg_pool_global(codes)
+                layer_s.append(time.perf_counter() - t_pool)
+            if plan.classifier is not None:
+                t_fc = time.perf_counter()
+                plan.classifier(codes)
+                layer_s.append(time.perf_counter() - t_fc)
+            total = time.perf_counter() - t0
+            if best is None or total < best.total_seconds:
+                best = SessionProfile(
+                    batch_size=n, input_hw=(h, w), total_seconds=total,
+                    quantize_seconds=t_quant - t0,
+                    glue_seconds=total - (t_quant - t0) - sum(layer_s),
+                    layers=[LayerTiming(*stage, t)
+                            for stage, t in zip(stages, layer_s)],
+                )
+        assert best is not None
+        return best
 
     # -- persistence ---------------------------------------------------
     def save(self, path: Union[str, Path]) -> Path:

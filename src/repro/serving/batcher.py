@@ -121,15 +121,16 @@ class MicroBatcher:
 
 
 class FleetBatcher:
-    """Per-``(model, input shape)`` micro-batching for the fleet server.
+    """Per-``(model, input shape)`` micro-batching: the server's batcher.
 
     A tile must be homogeneous — one model, one geometry — because the
     engine stacks it into a single array and runs it through one
     session.  Each distinct ``(request.model, request.x.shape)`` pair
-    therefore gets its own :class:`MicroBatcher` lane; lanes are created
-    on first use and dropped when empty, so a fleet of mostly-idle
-    models costs nothing.  The interface mirrors ``MicroBatcher`` — the
-    server's batch loop drives either without caring which.
+    therefore gets its own :class:`MicroBatcher` lane (``model`` is
+    ``None`` on a single-model server, so its lanes split by shape
+    alone); lanes are created on first use and dropped when empty, so a
+    fleet of mostly-idle models costs nothing.  The interface mirrors
+    ``MicroBatcher``.
     """
 
     def __init__(self, max_batch: int,

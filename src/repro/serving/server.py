@@ -7,7 +7,8 @@ One process, three moving parts:
   boundary, run admission control (circuit state, bounded queue), and
   park a :class:`~repro.serving.batcher.Request` future;
 * the **batch loop** (one task) drives the
-  :class:`~repro.serving.batcher.MicroBatcher` work-conservingly — the
+  :class:`~repro.serving.batcher.FleetBatcher` (one lane per model and
+  input shape) work-conservingly — the
   moment one of the ``engine.concurrency`` slots is free (one for the
   in-process backend, N for a ``--workers N`` pool) it expires
   deadlines, takes everything pending up to ``max_batch`` (carrying the
@@ -49,7 +50,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.runtime.errors import InvalidInputError
-from repro.serving.batcher import FleetBatcher, MicroBatcher, Request
+from repro.serving.batcher import FleetBatcher, Request
 from repro.serving.engine import BatchEngine
 from repro.serving.errors import (
     BatchExecutionError,
@@ -103,12 +104,10 @@ class ServingServer:
                                   stats=self.stats,
                                   artifact_path=artifact_path,
                                   registry=registry)
-        if registry is not None:
-            # Tiles must be homogeneous per (model, shape); the fleet
-            # batcher keeps one lane per pair.
-            self.batcher = FleetBatcher(self.options.max_batch)
-        else:
-            self.batcher = MicroBatcher(self.options.max_batch)
+        # Tiles must be homogeneous per (model, shape) — the engine
+        # stacks each tile into one array — so every server, single-model
+        # included (model None), keeps one batcher lane per pair.
+        self.batcher = FleetBatcher(self.options.max_batch)
         self._server: Optional[asyncio.base_events.Server] = None
         self._loop_task: Optional[asyncio.Task] = None
         self._wakeup = asyncio.Event()

@@ -250,7 +250,7 @@ class TestArtifactAndSession:
 
         for layer in plan.layers:
             layer.__class__.__call__ = layer.__class__.__call__  # sanity
-            layer._accumulate_int = boom
+            layer.bind = boom
         old_run = ExecutionPlan.run
         ExecutionPlan.run = boom
         try:

@@ -60,6 +60,17 @@ class TestSession:
         assert prof.total_seconds > 0
         assert "session profile" in prof.table()
 
+    def test_profile_rows_sum_to_the_end_to_end_total(self, net, x):
+        prof = Session(net).profile(x[:2], repeats=3)
+        rows = prof.rows()
+        assert [r.name for r in rows[1:-1]] == [t.name for t in prof.layers]
+        assert rows[0].name == "quantize_input" and rows[-1].name == "glue"
+        assert all(r.seconds > 0 for r in prof.layers)
+        assert prof.glue_seconds >= 0
+        assert sum(r.seconds for r in rows) == pytest.approx(
+            prof.total_seconds, rel=1e-9, abs=1e-12)
+        assert "glue" in prof.table()
+
     def test_profile_synthetic_batch_needs_geometry(self, net):
         with pytest.raises(ValueError, match="input_hw"):
             Session(net).profile()

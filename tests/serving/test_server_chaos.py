@@ -104,6 +104,30 @@ class TestHappyPath:
         run_scenario(tiny_session, BASE, None, scenario)
 
 
+class TestMixedGeometry:
+    def test_mixed_geometry_requests_queued_together_are_all_served(
+            self, tiny_session, image, wait_until):
+        """Two shapes queued behind a busy engine run as separate
+        homogeneous tiles; stacking them into one tile failed both."""
+        faults = FaultInjector([FaultSpec("slow", every=1, limit=1, delay=0.5)])
+        small = np.ascontiguousarray(image[:, :28, :28])
+
+        async def scenario(server, host, port):
+            held = await hold_engine(server, host, port, image, wait_until)
+            results = await asyncio.gather(
+                predict(host, port, image, deadline_ms=0),
+                predict(host, port, small, deadline_ms=0),
+            )
+            assert (await held)[0] == 200
+            assert [s for s, _ in results] == [200, 200]
+            expected = [int(np.argmax(tiny_session.run(x[None]), axis=1)[0])
+                        for x in (image, small)]
+            assert [b["prediction"] for _, b in results] == expected
+            await alive(host, port, image)
+
+        run_scenario(tiny_session, BASE, faults, scenario)
+
+
 class TestKernelFaults:
     def test_transient_kernel_fault_is_retried_away(self, tiny_session, image):
         async def scenario(server, host, port):
