@@ -197,8 +197,9 @@ async def _run_workers_point(session, artifact_path, workers, quick):
             host, port, image, clients, per_client, deadline_ms=0)
         point = dict(_tally(lat, statuses, wall),
                      workers=workers, clients=clients)
-        if server.engine.pool is not None:
-            pool_stats = server.engine.pool.stats()
+        pool = server.registry.entry(server.default_model).pool
+        if pool is not None:
+            pool_stats = pool.stats()
             point["pool"] = {
                 key: pool_stats[key]
                 for key in ("alive", "restarts", "kills", "served",

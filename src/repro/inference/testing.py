@@ -57,6 +57,11 @@ def random_conv_layer(
     ``strategy`` selects the requantization parameters: ``"icn"``,
     ``"folded"`` (PL+FB, forces per-layer) or ``"thr"`` (thresholds).
     """
+    if strategy not in ("icn", "folded", "thr"):
+        raise ValueError(
+            f"unknown requant strategy {strategy!r}; "
+            "expected 'icn', 'folded' or 'thr'"
+        )
     if kind == "dw":
         c_out = c_in
         w_shape = (c_out, 1, kernel, kernel)

@@ -547,6 +547,14 @@ class WorkerPool:
                 os.kill(handle.pid, signal.SIGKILL)
             except (ProcessLookupError, OSError):
                 pass
+            # The worker is dead even when its reply beat the signal
+            # (the dispatcher thread can lose the GIL between send and
+            # kill); reading that reply would hide the crash and leave
+            # a dead slot behind, so the task fails as a crash here.
+            raise WorkerCrashedError(
+                f"worker {handle.worker_id} (pid {handle.pid}) killed "
+                f"mid-task"
+            )
         deadline = time.monotonic() + self.options.task_timeout_s
         while True:
             if handle.conn.poll(0.05):

@@ -11,6 +11,11 @@ deterministic backoff, consecutive batch failures open a per-model
 circuit breaker, and a poisoned tile degrades to batch-of-1 so one bad
 request cannot take its neighbours down.
 
+Every server runs its models through one
+:class:`~repro.serving.registry.ModelRegistry`: a fleet of artifacts
+under a memory budget (``repro-mcu serve --fleet``), or a registry of
+one holding the single session a server was given.
+
 Every one of those failure modes is injectable at a deterministic rate
 through :mod:`repro.serving.faults` — the chaos suite and the CI smoke
 lane assert the policies, they do not hope for them.

@@ -25,6 +25,11 @@ Residency is managed lazily with LRU eviction:
   :class:`~repro.serving.errors.OverBudgetError` (HTTP 413);
 * models with requests in flight are never evicted.
 
+A single-model server is a fleet of one: :meth:`ModelRegistry.add_session`
+registers the caller's live session, which stays resident outside the
+budget (it was loaded outside it), is never evicted, and is left open
+by :meth:`ModelRegistry.close`.
+
 All public methods are thread-safe; ``run`` is called from the batch
 engine's executor threads.
 """
@@ -44,9 +49,9 @@ from repro.serving.errors import ModelNotFoundError, OverBudgetError
 class FleetEntry:
     """One artifact known to the registry (resident or cold)."""
 
-    def __init__(self, name: str, path: Path, manifest: dict):
+    def __init__(self, name: str, path: Optional[Path], manifest: dict):
         self.name = name
-        self.path = Path(path)
+        self.path = Path(path) if path is not None else None
         self.max_hw = _native_hw(manifest)
         #: Read-only cost: the byte length of blobs.bin (what the mmap
         #: pins), from the manifest blob table.
@@ -61,6 +66,8 @@ class FleetEntry:
             int(arena["rw_peak_bytes"]) if "rw_peak_bytes" in arena else None
         )
         self.session = None
+        #: The caller owns ``session`` (see :meth:`ModelRegistry.add_session`).
+        self.borrowed = False
         self.pool = None
         self.inflight = 0
         self.last_used = 0
@@ -87,6 +94,7 @@ class FleetEntry:
             "cost_bytes": self.cost_bytes(),
             "max_input_hw": list(self.max_hw) if self.max_hw else None,
             "workers": self.pool.options.workers if self.pool else 1,
+            "pool": self.pool.stats() if self.pool else None,
         }
 
 
@@ -110,20 +118,22 @@ class ModelRegistry:
 
     ``memory_budget_bytes=None`` disables eviction entirely (every
     model loads and stays resident — the unconstrained dev default).
-    ``workers > 1`` gives each *resident* model its own
+
+    The serving front end sets ``pool_options`` (and the ``faults``
+    injector the pool fires ``worker-kill`` from) when it runs with
+    ``workers > 1``: each *resident* model then gets its own
     :class:`repro.runtime.pool.WorkerPool` of artifact-backed worker
-    processes; the pool is stood up at load and torn down at eviction.
+    processes, stood up at its first checkout and torn down at eviction.
     """
 
-    def __init__(self, *, memory_budget_bytes: Optional[int] = None,
-                 workers: int = 1, worker_retries: int = 1):
+    def __init__(self, *, memory_budget_bytes: Optional[int] = None):
         if memory_budget_bytes is not None and memory_budget_bytes < 1:
             raise ValueError(
                 f"memory_budget_bytes must be >= 1, got {memory_budget_bytes}"
             )
         self.memory_budget_bytes = memory_budget_bytes
-        self.workers = max(1, int(workers))
-        self.worker_retries = int(worker_retries)
+        self.pool_options = None
+        self.faults = None
         self._entries: Dict[str, FleetEntry] = {}
         self._lock = threading.RLock()
         self._tick = 0
@@ -160,11 +170,24 @@ class ModelRegistry:
 
         if manifest is None:
             manifest = read_manifest(path)
-        entry = FleetEntry(name, Path(path), manifest)
+        return self._register(FleetEntry(name, Path(path), manifest))
+
+    def add_session(self, name: str, session, path=None) -> FleetEntry:
+        """Register a live session the caller owns: resident from the
+        start, charged nothing against the budget, never evicted, and
+        not closed by :meth:`close`.  ``path`` is the artifact it was
+        loaded from, when known (a worker pool maps it instead of
+        staging a copy)."""
+        entry = FleetEntry(name, path, {})
+        entry.session = session
+        entry.borrowed = True
+        return self._register(entry)
+
+    def _register(self, entry: FleetEntry) -> FleetEntry:
         with self._lock:
-            if name in self._entries:
-                raise ValueError(f"model {name!r} already registered")
-            self._entries[name] = entry
+            if entry.name in self._entries:
+                raise ValueError(f"model {entry.name!r} already registered")
+            self._entries[entry.name] = entry
         return entry
 
     # -- lookup --------------------------------------------------------
@@ -194,8 +217,9 @@ class ModelRegistry:
     # -- residency -----------------------------------------------------
     def checkout(self, name: str) -> FleetEntry:
         """Pin ``name`` resident and mark a request in flight.  Loads
-        (and evicts) as needed; every checkout must be paired with
-        :meth:`release`."""
+        (and evicts) as needed, and stands up the model's worker pool
+        when ``pool_options`` asks for one; every checkout must be
+        paired with :meth:`release`."""
         with self._lock:
             if self._closed:
                 raise ModelNotFoundError("registry is closed")
@@ -206,6 +230,8 @@ class ModelRegistry:
                 )
             if not entry.resident:
                 self._load_locked(entry)
+            if entry.pool is None and self.pool_options is not None:
+                entry.pool = self._start_pool(entry)
             entry.inflight += 1
             entry.requests += 1
             self._tick += 1
@@ -226,13 +252,6 @@ class ModelRegistry:
             return entry.session.run(xs)
         finally:
             self.release(entry)
-
-    def warm(self, names) -> None:
-        """Eagerly load ``names`` (in order, subject to the budget —
-        later names may evict earlier ones, exactly as live traffic
-        would)."""
-        for name in names:
-            self.release(self.checkout(name))
 
     def validate_input(self, name: str, x_real) -> None:
         """Boundary validation without forcing a load.
@@ -300,8 +319,6 @@ class ModelRegistry:
         rw = self.rw_from_plan(entry)
         if rw is not None:
             entry.rw_bytes = rw
-        if self.workers > 1:
-            entry.pool = self._start_pool(entry)
 
     @staticmethod
     def rw_from_plan(entry: FleetEntry) -> Optional[int]:
@@ -362,7 +379,7 @@ class ModelRegistry:
         """Evict the least-recently-used idle resident model; False when
         nothing is evictable (all cold or all in flight)."""
         victims = [e for e in self._entries.values()
-                   if e.resident and e.inflight == 0]
+                   if e.resident and e.inflight == 0 and not e.borrowed]
         if not victims:
             return False
         victim = min(victims, key=lambda e: e.last_used)
@@ -377,17 +394,21 @@ class ModelRegistry:
         session, entry.session = entry.session, None
         if pool is not None:
             pool.close()
-        if session is not None:
+        if session is not None and not entry.borrowed:
             session.close()
 
     def _start_pool(self, entry: FleetEntry):
-        from repro.runtime.pool import PoolOptions, WorkerPool
+        """The one place serving builds a worker pool: over the entry's
+        artifact, or staged from its live session when it has none."""
+        from repro.runtime.pool import WorkerPool
 
-        pool = WorkerPool(entry.path, PoolOptions(
-            workers=self.workers, retries=self.worker_retries,
-        ))
-        pool.start()
-        return pool
+        if entry.path is None:
+            pool = WorkerPool.from_session(entry.session, self.pool_options,
+                                           faults=self.faults)
+        else:
+            pool = WorkerPool(entry.path, self.pool_options,
+                              faults=self.faults)
+        return pool.start()
 
     # -- introspection / lifecycle -------------------------------------
     def stats(self) -> dict:

@@ -1,4 +1,10 @@
-"""Fault-tolerant asyncio serving front end over a :class:`Session`.
+"""Fault-tolerant asyncio serving front end over a
+:class:`~repro.serving.registry.ModelRegistry`.
+
+A single-model server is a fleet of one: ``ServingServer(session)``
+registers the session in a registry of its own, named after its
+artifact directory (``"default"`` when none is known), and serves it
+through exactly the path a ``--fleet`` server uses.
 
 One process, three moving parts:
 
@@ -10,15 +16,15 @@ One process, three moving parts:
   :class:`~repro.serving.batcher.FleetBatcher` (one lane per model and
   input shape) work-conservingly — the
   moment one of the ``engine.concurrency`` slots is free (one for the
-  in-process backend, N for a ``--workers N`` pool) it expires
+  in-process backend, N for ``--workers N`` pools) it expires
   deadlines, takes everything pending up to ``max_batch`` (carrying the
   remainder) and hands that tile to the
   :class:`~repro.serving.engine.BatchEngine`; requests that arrive while
   every slot is busy collect into the next tile;
-* the **engine** executes with retry and a hung-batch watchdog — on its
-  single inference thread, or across a process
-  :class:`~repro.runtime.pool.WorkerPool` sharing one mmap'd copy of
-  the weights.
+* the **engine** executes with retry and a hung-batch watchdog, through
+  the registry — on its single inference thread, or across each model's
+  process :class:`~repro.runtime.pool.WorkerPool` sharing one mmap'd
+  copy of the weights.
 
 Failure policy (the README table restates this mapping):
 
@@ -26,7 +32,7 @@ Failure policy (the README table restates this mapping):
 failure                policy                                    status
 ====================  =========================================  ======
 malformed payload      reject at parse/validate, stay live        400
-unknown fleet model    reject at admission (permanent)            404
+unknown model          reject at admission (permanent)            404
 model over budget      cannot be made resident even after LRU     413
 deadline passed        drop before batching, never infer          504
 queue at depth         shed with ``Retry-After`` (backpressure)   503
@@ -45,6 +51,7 @@ from __future__ import annotations
 import asyncio
 import json
 import time
+from pathlib import Path
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -66,6 +73,7 @@ from repro.serving.errors import (
 from repro.serving.faults import FaultInjector
 from repro.serving.metrics import DrainTracker, ServerStats
 from repro.serving.policies import BreakerState, ServerOptions, retry_after_s
+from repro.serving.registry import ModelRegistry
 
 _REASONS = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
@@ -81,32 +89,44 @@ class ServingServer:
 
     Endpoints: ``POST /v1/predict`` (body ``{"input": CHW-nested-list,
     "deadline_ms": float?, "model": str?}``), ``GET /healthz``,
-    ``GET /stats``.  ``model`` routes between fleet artifacts when the
-    server was built over a
-    :class:`~repro.serving.registry.ModelRegistry`; a single-model
-    server ignores it.
+    ``GET /stats``.  ``model`` names the registry model to run;
+    requests without it go to ``default_model``.
+
+    Built over one ``session`` (with the ``artifact_path`` it was
+    loaded from, when known), which becomes a registry of one whose only
+    model is the default, or over a fleet ``registry``.
     """
 
     def __init__(self, session=None, options: Optional[ServerOptions] = None,
                  faults: Optional[FaultInjector] = None,
                  artifact_path=None, registry=None,
                  default_model: Optional[str] = None):
-        if session is None and registry is None:
+        if session is not None:
+            default_model = (Path(artifact_path).name
+                             if artifact_path is not None else "default")
+            registry = ModelRegistry()
+            registry.add_session(default_model, session, artifact_path)
+        elif not isinstance(registry, ModelRegistry):
             raise ValueError("ServingServer needs a session or a registry")
-        self.session = session
         self.registry = registry
         self.default_model = default_model
         self.options = options or ServerOptions()
         self.faults = faults
         self.stats = ServerStats()
         self.drain = DrainTracker()
-        self.engine = BatchEngine(session, self.options, faults=faults,
-                                  stats=self.stats,
-                                  artifact_path=artifact_path,
-                                  registry=registry)
+        if self.options.workers > 1:
+            from repro.runtime.pool import PoolOptions
+
+            registry.pool_options = PoolOptions(
+                workers=self.options.workers,
+                retries=self.options.worker_retries,
+                max_tile=max(32, self.options.max_batch),
+            )
+            registry.faults = faults
+        self.engine = BatchEngine(registry, self.options, faults=faults,
+                                  stats=self.stats)
         # Tiles must be homogeneous per (model, shape) — the engine
-        # stacks each tile into one array — so every server, single-model
-        # included (model None), keeps one batcher lane per pair.
+        # stacks each tile into one array.
         self.batcher = FleetBatcher(self.options.max_batch)
         self._server: Optional[asyncio.base_events.Server] = None
         self._loop_task: Optional[asyncio.Task] = None
@@ -126,12 +146,12 @@ class ServingServer:
 
     # -- lifecycle -----------------------------------------------------
     async def start(self) -> Tuple[str, int]:
-        """Stand up the backend (worker pool when ``workers > 1``), warm
-        the engine (one healthcheck inference plans the arena), bind the
-        socket, and start the batch loop.  Returns the bound
-        ``(host, port)`` — pass ``port=0`` for an ephemeral port."""
+        """Warm the default model (load it, stand up its worker pool
+        when ``workers > 1``, and run one healthcheck inference that
+        plans its arena), bind the socket, and start the batch loop.
+        Returns the bound ``(host, port)`` — pass ``port=0`` for an
+        ephemeral port."""
         loop = asyncio.get_running_loop()
-        await loop.run_in_executor(None, self.engine.start)
         self._startup_health = await loop.run_in_executor(
             None, self._startup_check
         )
@@ -145,21 +165,21 @@ class ServingServer:
         return self.host, self.port
 
     def _startup_check(self) -> dict:
-        """Blocking warmup probe (runs off the event loop).
-
-        Single-model: the session's own healthcheck.  Fleet: warm the
-        default model (when one is named) so the first request does not
-        pay its load, and report the fleet shape; an empty registry or a
-        default that cannot fit the budget is a startup failure."""
-        if self.registry is None:
-            return self.session.healthcheck()
-        report = {"ok": True, "fleet": self.registry.stats()["models_known"]}
-        if self.default_model is not None:
-            try:
-                self.registry.warm([self.default_model])
-                report["warmed"] = self.default_model
-            except ServingError as exc:
-                return {"ok": False, "error": str(exc)}
+        """Blocking warmup probe (runs off the event loop): check the
+        default model out (when one is named) so the first request does
+        not pay its load, and run its session's healthcheck; a default
+        that cannot fit the budget is a startup failure."""
+        if self.default_model is None:
+            return {"ok": True}
+        try:
+            entry = self.registry.checkout(self.default_model)
+        except ServingError as exc:
+            return {"ok": False, "error": str(exc)}
+        try:
+            report = entry.session.healthcheck(entry.max_hw)
+        finally:
+            self.registry.release(entry)
+        report["warmed"] = self.default_model
         return report
 
     async def stop(self) -> None:
@@ -215,13 +235,11 @@ class ServingServer:
             self.stats.completed += 1
             self.stats.latency.observe(latency)
             self.drain.mark()
-            result = {
+            request.future.set_result({
                 "prediction": int(prediction),
                 "latency_ms": round(latency * 1e3, 3),
-            }
-            if request.model is not None:
-                result["model"] = request.model
-            request.future.set_result(result)
+                "model": request.model,
+            })
 
     def _retry_after(self) -> str:
         """Backpressure hint for 503s: estimated seconds to drain the
@@ -298,8 +316,7 @@ class ServingServer:
         finally:
             self._inflight.pop(id(batch), None)
 
-    def _record_breaker(self, success: bool,
-                        model: Optional[str] = None) -> None:
+    def _record_breaker(self, success: bool, model: str) -> None:
         breaker = self.engine.breaker_for(model)
         before = breaker.state
         breaker.record_success() if success else breaker.record_failure()
@@ -432,46 +449,41 @@ class ServingServer:
         return 404, {"error": "NotFound", "detail": f"no route {path}"}, {}
 
     def _healthz(self):
-        breaker = self.engine.breaker.state
+        """``degraded`` (503) while closing, after a failed startup, or
+        when every model that has a circuit breaker has it OPEN."""
+        circuits = self.engine.circuits()
         startup = self._startup_health or {}
-        ok = (not self._closing and breaker is not BreakerState.OPEN
-              and bool(startup.get("ok")))
+        all_open = bool(circuits) and all(
+            state == BreakerState.OPEN.value for state in circuits.values())
+        ok = not self._closing and not all_open and bool(startup.get("ok"))
+        reg = self.registry.stats()
         payload = {
             "status": "ok" if ok else "degraded",
-            "circuit": breaker.value,
+            "circuits": circuits,
             "queued": len(self.batcher),
             "startup": startup,
-        }
-        pool = self.engine.pool
-        if pool is not None:
-            payload["workers"] = {
-                "configured": pool.options.workers,
-                "alive": pool.alive_workers(),
-                "restarts": pool.restarts,
-            }
-        if self.registry is not None:
-            reg = self.registry.stats()
-            payload["fleet"] = {
+            "fleet": {
                 "models_known": reg["models_known"],
                 "models_resident": reg["models_resident"],
                 "resident_bytes": reg["resident_bytes"],
                 "budget_bytes": reg["budget_bytes"],
+            },
+        }
+        pools = [m["pool"] for m in reg["models"].values() if m["pool"]]
+        if pools:
+            payload["workers"] = {
+                "configured": sum(p["workers"] for p in pools),
+                "alive": sum(p["alive"] for p in pools),
+                "restarts": sum(p["restarts"] for p in pools),
             }
         return (200 if ok else 503), payload, {}
 
     def _stats_payload(self) -> dict:
         payload = self.stats.to_dict()
-        payload["circuit"] = self.engine.breaker.state.value
+        payload["circuits"] = self.engine.circuits()
         payload["queued"] = len(self.batcher)
         payload["inflight"] = self._inflight_count()
-        if self.engine.pool is not None:
-            payload["pool"] = self.engine.pool.stats()
-        if self.registry is not None:
-            payload["registry"] = self.registry.stats()
-            payload["circuits"] = {
-                name: self.engine.breaker_for(name).state.value
-                for name in self.engine._breakers
-            }
+        payload["registry"] = self.registry.stats()
         if self.faults:
             payload["faults"] = self.faults.summary()
         return payload
@@ -517,37 +529,29 @@ class ServingServer:
             raise MalformedRequestError(
                 f"input must be one CHW image (3 dims), got shape {x.shape}"
             )
-        model: Optional[str] = None
-        if self.registry is not None:
-            model = payload.get("model", self.default_model)
-            if model is None:
-                self.stats.malformed += 1
-                raise MalformedRequestError(
-                    'fleet server requires "model" (no default configured)'
-                )
-            if not isinstance(model, str):
-                self.stats.malformed += 1
-                raise MalformedRequestError(
-                    f'"model" must be a string, got {type(model).__name__}'
-                )
-            if model not in self.registry:
-                self.stats.unknown_model += 1
-                raise ModelNotFoundError(
-                    f"unknown model {model!r}; fleet has {self.registry.models}"
-                )
-            try:
-                # Cold models validate against manifest metadata only —
-                # loading happens off the event loop, at batch time.
-                self.registry.validate_input(model, x[None])
-            except InvalidInputError as exc:
-                self.stats.malformed += 1
-                raise MalformedRequestError(str(exc)) from exc
-        else:
-            try:
-                self.session.validate_input(x[None])
-            except InvalidInputError as exc:
-                self.stats.malformed += 1
-                raise MalformedRequestError(str(exc)) from exc
+        model = payload.get("model", self.default_model)
+        if model is None:
+            self.stats.malformed += 1
+            raise MalformedRequestError(
+                'fleet server requires "model" (no default configured)'
+            )
+        if not isinstance(model, str):
+            self.stats.malformed += 1
+            raise MalformedRequestError(
+                f'"model" must be a string, got {type(model).__name__}'
+            )
+        if model not in self.registry:
+            self.stats.unknown_model += 1
+            raise ModelNotFoundError(
+                f"unknown model {model!r}; fleet has {self.registry.models}"
+            )
+        try:
+            # Cold models validate against manifest metadata only —
+            # loading happens off the event loop, at batch time.
+            self.registry.validate_input(model, x[None])
+        except InvalidInputError as exc:
+            self.stats.malformed += 1
+            raise MalformedRequestError(str(exc)) from exc
 
         if self.engine.breaker_for(model).state is BreakerState.OPEN:
             self.stats.shed_circuit += 1
@@ -601,12 +605,10 @@ def serve(session=None, options: Optional[ServerOptions] = None,
           default_model: Optional[str] = None) -> None:
     """Blocking convenience entry point (the ``repro-mcu serve`` body):
     start, announce the bound address, serve until Ctrl-C or ``ttl_s``,
-    shut down cleanly.  ``artifact_path`` lets a ``--workers N`` pool
-    mmap the artifact already on disk instead of staging a copy.
-    ``registry`` switches to fleet mode (``repro-mcu serve --fleet``):
-    requests route by their ``"model"`` field through a
-    :class:`~repro.serving.registry.ModelRegistry` instead of one
-    session."""
+    shut down cleanly.  Takes one ``session`` (``artifact_path`` names
+    it and lets a ``--workers N`` pool mmap the artifact already on disk
+    instead of staging a copy) or a fleet ``registry``
+    (``repro-mcu serve --fleet``), as :class:`ServingServer` does."""
 
     async def _main():
         server = ServingServer(session, options=options, faults=faults,
@@ -615,10 +617,9 @@ def serve(session=None, options: Optional[ServerOptions] = None,
                                default_model=default_model)
         host, port = await server.start()
         if announce is not None:
-            fleet = (f"fleet={len(registry.models)} models, "
-                     if registry is not None else "")
             announce(f"serving on http://{host}:{port} "
-                     f"({fleet}workers={server.engine.workers}, "
+                     f"(models={len(server.registry.models)}, "
+                     f"workers={server.options.workers}, "
                      f"max_batch={server.options.max_batch}, "
                      f"queue_depth={server.options.queue_depth}) — Ctrl-C to stop")
         try:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import PlanVerificationError, verify_artifact, verify_plan
+from repro.core.icn import ThresholdParams
 from repro.inference.plan import ExecutionPlan
 from repro.inference.testing import integer_network_from_spec
 from repro.models.model_zoo import all_mobilenet_configs
@@ -49,10 +50,16 @@ class TestZooAcceptance:
 
     def test_threshold_strategy_verifies(self):
         net = integer_network_from_spec(
-            CONFIGS[0], rng=np.random.default_rng(3), strategy="thresholds"
+            CONFIGS[0], rng=np.random.default_rng(3), strategy="thr"
         )
+        assert any(isinstance(layer.params, ThresholdParams)
+                   for layer in net.conv_layers)
         report = verify_plan(ExecutionPlan(net, CompileOptions(input_hw=HW)), HW)
         assert report.ok
+
+    def test_unknown_strategy_is_rejected(self):
+        with pytest.raises(ValueError, match="'icn', 'folded' or 'thr'"):
+            integer_network_from_spec(CONFIGS[0], strategy="thresholds")
 
     def test_split_k_layer_verifies(self):
         # The widest config's last pointwise layer exceeds the float32

@@ -24,6 +24,7 @@ from repro.runtime import (
     PoolOptions,
     Session,
     SessionOptions,
+    WorkerCrashedError,
     WorkerPool,
     WorkerTaskError,
 )
@@ -158,6 +159,49 @@ def test_from_session_stages_and_cleans_up(tmp_path):
         assert np.array_equal(session.run_batched(x), pool.run_batched(x))
         assert staged.is_dir()
     assert not staged.exists()
+
+
+class _KillFirstTask:
+    """Fault hook (the pool's duck type): ``worker-kill`` on the first
+    dispatched task only."""
+
+    fired = False
+
+    def fire(self, kind):
+        if kind != "worker-kill" or self.fired:
+            return None
+        self.fired = True
+        return kind
+
+
+def test_injected_kill_fails_the_task_even_when_the_reply_wins(tmp_path):
+    """Busy Python threads let the worker answer before the dispatcher
+    thread gets the GIL back to send SIGKILL; that reply must not hide
+    the crash and leave a dead slot behind."""
+    session = _session_for(_SMALL, seed=51)
+    path = session.save(tmp_path / "k.artifact")
+    x = np.random.default_rng(7).uniform(0, 1, size=(1, 3, 32, 32))
+    stop = threading.Event()
+
+    def spin():
+        while not stop.is_set():
+            sum(range(1000))
+
+    spinners = [threading.Thread(target=spin, daemon=True) for _ in range(3)]
+    with WorkerPool(path, PoolOptions(workers=1, retries=0),
+                    faults=_KillFirstTask()) as pool:
+        for t in spinners:
+            t.start()
+        try:
+            with pytest.raises(WorkerCrashedError, match="killed mid-task"):
+                pool.run(x)
+        finally:
+            stop.set()
+            for t in spinners:
+                t.join(timeout=5.0)
+        assert not any(t.is_alive() for t in spinners)
+        assert (pool.kills, pool.restarts, pool.alive_workers()) == (1, 1, 1)
+        assert np.array_equal(pool.run(x), session.run(x))
 
 
 def test_closed_pool_rejects_new_work(tmp_path):

@@ -15,9 +15,12 @@ import numpy as np
 import pytest
 
 from repro.serving import (
+    FaultInjector,
+    FaultSpec,
     ModelNotFoundError,
     ModelRegistry,
     OverBudgetError,
+    RetryPolicy,
     ServerOptions,
     ServingServer,
     materialize_fleet,
@@ -158,14 +161,15 @@ class TestRegistry:
 
 
 class TestFleetServer:
-    def _scenario(self, fleet_dir, budget, body, server_kwargs=None):
+    def _scenario(self, fleet_dir, budget, body, server_kwargs=None,
+                  options=ServerOptions(port=0)):
         async def _main():
             registry = ModelRegistry.from_directory(
                 fleet_dir, memory_budget_bytes=budget
             )
             server = ServingServer(
                 registry=registry,
-                options=ServerOptions(port=0),
+                options=options,
                 **(server_kwargs or {}),
             )
             host, port = await server.start()
@@ -260,8 +264,9 @@ class TestFleetServer:
         self._scenario(fleet_dir, _two_of_three_budget(costs), body)
 
     def test_single_model_serve_unchanged(self, tiny_session, image):
-        """Migration guarantee: a session-backed server neither requires
-        nor is confused by the fleet fields."""
+        """A session-backed server is a fleet of one: requests need no
+        "model", replies name the one model, a request naming any other
+        model is a 404, and stopping leaves the caller's session open."""
 
         async def _main():
             server = ServingServer(tiny_session,
@@ -269,13 +274,40 @@ class TestFleetServer:
             host, port = await server.start()
             try:
                 status, reply = await predict(host, port, image)
-                assert status == 200 and "model" not in reply
-                # A stray "model" field on a single-model server is
-                # ignored, exactly as before fleets existed.
+                assert status == 200 and reply["model"] == "default"
                 status, reply = await predict(host, port, image,
                                               model="whatever")
-                assert status == 200
+                assert status == 404
+                assert reply["error"] == "ModelNotFoundError"
             finally:
                 await server.stop()
+            assert not tiny_session.closed
 
         asyncio.run(_main())
+
+    def test_pooled_fleet_runs_one_tile_per_worker(self, fleet_dir, costs):
+        async def body(server, registry, host, port):
+            assert server.engine.concurrency == 2
+
+        self._scenario(fleet_dir, _two_of_three_budget(costs), body,
+                       options=ServerOptions(port=0, workers=2))
+
+    def test_healthz_degrades_when_every_model_circuit_is_open(
+            self, fleet_dir, costs):
+        faults = FaultInjector([FaultSpec("kernel", every=1)])
+
+        async def body(server, registry, host, port):
+            status, _ = await predict(host, port, _image("32x0.25"))
+            assert status == 500
+            status, health = await request_json(host, port, "GET", "/healthz")
+            assert status == 503 and health["status"] == "degraded"
+            assert health["circuits"] == {"32x0.25": "open"}
+            status, stats = await request_json(host, port, "GET", "/stats")
+            assert stats["circuits"] == {"32x0.25": "open"}
+
+        self._scenario(
+            fleet_dir, _two_of_three_budget(costs), body,
+            server_kwargs={"default_model": "32x0.25", "faults": faults},
+            options=ServerOptions(port=0, circuit_threshold=1,
+                                  circuit_reset_s=60.0, degrade=False,
+                                  retry=RetryPolicy(attempts=0)))

@@ -158,7 +158,7 @@ class TestKernelFaults:
             assert statuses.count(500) >= 2          # failed batches
             assert server.stats.breaker_opens == 1
             # While open: shed at admission with Retry-After, healthz degraded.
-            if server.engine.breaker.state is BreakerState.OPEN:
+            if server.engine.breaker_for(server.default_model).state is BreakerState.OPEN:
                 status, body = await predict(host, port, image)
                 assert status == 503 and body["error"] == "CircuitOpenError"
                 st, health = await request_json(host, port, "GET", "/healthz")
@@ -168,12 +168,12 @@ class TestKernelFaults:
             # breaker leaves OPEN by its own clock, whenever the loaded
             # runner gets around to it.
             await wait_until(
-                lambda: server.engine.breaker.state is not BreakerState.OPEN,
+                lambda: server.engine.breaker_for(server.default_model).state is not BreakerState.OPEN,
                 desc="circuit breaker never left OPEN",
             )
             status, _ = await predict(host, port, image)
             assert status == 200
-            assert server.engine.breaker.state is BreakerState.CLOSED
+            assert server.engine.breaker_for(server.default_model).state is BreakerState.CLOSED
 
         run_scenario(tiny_session, options, faults, scenario)
 
@@ -201,7 +201,7 @@ class TestPoisonedBatch:
             assert server.stats.degraded_batches == 1
             assert server.stats.quarantined == 1
             # The tile failure did not open the circuit: innocents served.
-            assert server.engine.breaker.state is BreakerState.CLOSED
+            assert server.engine.breaker_for(server.default_model).state is BreakerState.CLOSED
             await alive(host, port, image)
 
         run_scenario(tiny_session, options, faults, scenario)
@@ -422,13 +422,14 @@ class TestWorkerCrash:
             server = ServingServer(tiny_session, options, faults=faults,
                                    artifact_path=tiny_artifact)
             host, port = await server.start()
-            assert server.engine.pool is not None
+            entry = server.registry.entry(server.default_model)
+            assert entry.pool is not None
             assert server.engine.concurrency == options.workers
             try:
                 await scenario(server, host, port)
             finally:
                 await server.stop()
-            assert server.engine.pool is None  # pool released on stop
+            assert entry.pool is None  # pool released on stop
 
         asyncio.run(_main())
 
@@ -447,7 +448,7 @@ class TestWorkerCrash:
                           timeout=60.0) for _ in range(10)]
             )
             assert [s for s, _ in results] == [200] * 10
-            pool = server.engine.pool
+            pool = server.registry.entry(server.default_model).pool
             assert pool.kills >= 1
             assert pool.restarts >= 1
             assert pool.alive_workers() == 2
@@ -458,8 +459,9 @@ class TestWorkerCrash:
             assert health["workers"]["restarts"] >= 1
             st, stats = await request_json(host, port, "GET", "/stats")
             assert st == 200
-            assert stats["pool"]["restarts"] == pool.restarts >= 1
-            assert stats["pool"]["kills"] == pool.kills
+            pool_stats = stats["registry"]["models"][server.default_model]["pool"]
+            assert pool_stats["restarts"] == pool.restarts >= 1
+            assert pool_stats["kills"] == pool.kills
             assert stats["faults"]["worker-kill"]["fires"] == pool.kills
 
         self.run_pooled(tiny_session, tiny_artifact, options, faults, scenario)
@@ -482,8 +484,9 @@ class TestWorkerCrash:
             status, _ = await predict(host, port, image, deadline_ms=0,
                                       timeout=60.0)
             assert status == 200
-            assert server.engine.pool.restarts >= 1
-            assert server.engine.pool.alive_workers() == 2
+            pool = server.registry.entry(server.default_model).pool
+            assert pool.restarts >= 1
+            assert pool.alive_workers() == 2
 
         self.run_pooled(tiny_session, tiny_artifact, options, faults, scenario)
 
@@ -502,7 +505,8 @@ class TestWorkerCrash:
             expected = int(np.argmax(tiny_session.run(image[None]), axis=1)[0])
             assert {b["prediction"] for _, b in results} == {expected}
             st, stats = await request_json(host, port, "GET", "/stats")
-            assert stats["pool"]["served"] >= 1
-            assert stats["pool"]["alive"] == 2
+            pool_stats = stats["registry"]["models"][server.default_model]["pool"]
+            assert pool_stats["served"] >= 1
+            assert pool_stats["alive"] == 2
 
         self.run_pooled(tiny_session, tiny_artifact, options, None, scenario)
